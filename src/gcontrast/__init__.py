@@ -15,7 +15,6 @@ from .contrastive import (
     ProjectionHeadSpec,
     build_encoder,
     build_head,
-    cosine_sim,
     forward_pair_batch,
     interleaved_pairing,
     nt_xent_loss,
@@ -23,7 +22,6 @@ from .contrastive import (
 )
 from .dae import (
     AutoencoderSpec,
-    TrainHistory,
     build_autoencoder,
     early_stopping_scan,
     extract_latents,
@@ -47,7 +45,14 @@ from .evaluate import (
     supervised_reference,
     tap,
 )
-from .optim import AdamState, CosineSchedule, TrainingDivergedError, adam_step, sgd_cosine_step
+from .optim import (
+    AdamState,
+    CosineSchedule,
+    TrainHistory,
+    TrainingDivergedError,
+    adam_step,
+    sgd_cosine_step,
+)
 from .scheduler import (
     BatchPlan,
     PlanDiagnostics,
@@ -63,7 +68,6 @@ from .tensor import (
     conv2d_transpose,
     gradients,
     matmul,
-    max_pool2d,
     mse,
     no_grad,
 )

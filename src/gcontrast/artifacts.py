@@ -3,9 +3,11 @@
 Every artifact embeds the config fingerprint so downstream stages can
 refuse stale inputs. CSV files carry it as a leading comment line;
 JSON-based files carry it as a field. Nothing here writes timestamps:
-identical runs must produce byte-identical files.
+identical runs must produce byte-identical files. Files are written to a
+temporary sibling and renamed into place, so none is ever left truncated.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -45,16 +47,28 @@ def require(path, producer):
     return path
 
 
+@contextlib.contextmanager
+def _atomic_open(path, mode="w"):
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 # ---- checkpoints: JSON manifest + flat little-endian float32 buffer ----
 
 def save_checkpoint(stem, manifest: dict, params):
     manifest = dict(manifest)
     manifest["param_shapes"] = [list(p.shape) for p in params]
     buffers = [np.ascontiguousarray(p, dtype="<f4") for p in params]
-    with open(stem + ".bin", "wb") as fh:
+    with _atomic_open(stem + ".bin", "wb") as fh:
         for buf in buffers:
             fh.write(buf.tobytes())
-    with open(stem + ".json", "w") as fh:
+    with _atomic_open(stem + ".json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -75,15 +89,12 @@ def load_checkpoint(stem):
 
 # ---- CSV with a leading config-hash comment ----
 
-def write_csv(path, header, rows, config_hash, fmt=None):
-    with open(path, "w") as fh:
+def write_csv(path, header, rows, config_hash):
+    with _atomic_open(path) as fh:
         fh.write(f"# config_hash={config_hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            if fmt:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
-            else:
-                fh.write(",".join(str(v) for v in row) + "\n")
+            fh.write(",".join(str(v) for v in row) + "\n")
 
 
 def read_csv(path, producer="(unknown)"):
@@ -108,7 +119,7 @@ def write_latents_csv(path, latents, config_hash):
     n, d = latents.shape
     header = "index," + ",".join(f"dim{i}" for i in range(d))
     cells = np.char.mod("%.9g", latents)
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write(f"# config_hash={config_hash}\n")
         fh.write(header + "\n")
         for i, row in enumerate(cells.tolist()):
@@ -136,7 +147,7 @@ def append_jsonl(path, records):
 
 
 def write_jsonl(path, records):
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 

@@ -67,7 +67,6 @@ class ClusterSection:
 class SchedulerSection:
     p: int = 64
     mode: str = "guided"          # guided | random; runtime-selectable
-    reshuffle_per_epoch: bool = True
 
 
 @dataclass
@@ -106,11 +105,12 @@ class RunConfig:
                 "contrastive": asdict(self.contrastive), "eval": asdict(self.eval)}
 
 
-def _set_fields(section_obj, parser_section, section_name, errors):
-    for name, current in vars(section_obj).items():
-        if name not in parser_section:
+def _set_fields(target, names, parser_section, section_name, errors):
+    for name, raw in parser_section.items():
+        if name not in names:
+            errors.append(f"{section_name}.{name}: unknown key")
             continue
-        raw = parser_section[name]
+        current = getattr(target, name)
         try:
             if isinstance(current, bool):
                 value = raw.strip().lower() in ("1", "true", "yes", "on")
@@ -124,7 +124,7 @@ def _set_fields(section_obj, parser_section, section_name, errors):
                 value = float(raw)
             else:
                 value = raw.strip()
-            setattr(section_obj, name, value)
+            setattr(target, name, value)
         except ValueError as err:
             errors.append(f"{section_name}.{name}: {err}")
 
@@ -136,21 +136,15 @@ def load_config(path) -> "RunConfig":
         raise ConfigError([f"config file {path} not found or unreadable"])
     config = RunConfig()
     errors = []
-    known = {"run": None, "dataset": config.dataset, "dae": config.dae,
-             "cluster": config.cluster, "scheduler": config.scheduler,
-             "contrastive": config.contrastive, "eval": config.eval}
+    # section name -> (object its keys set, the keys it accepts)
+    known = {name: (section, vars(section)) for name, section in vars(config).items()
+             if name != "seed"}
+    known["run"] = (config, ("seed",))
     for section_name in parser.sections():
         if section_name not in known:
             errors.append(f"unknown section [{section_name}]")
             continue
-        if section_name == "run":
-            if "seed" in parser[section_name]:
-                try:
-                    config.seed = int(parser[section_name]["seed"])
-                except ValueError as err:
-                    errors.append(f"run.seed: {err}")
-            continue
-        _set_fields(known[section_name], parser[section_name], section_name, errors)
+        _set_fields(*known[section_name], parser[section_name], section_name, errors)
     errors.extend(validate(config))
     if errors:
         raise ConfigError(errors)

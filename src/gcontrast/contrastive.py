@@ -51,8 +51,6 @@ class ContrastiveConfig:
     batch_size: int = 64
     epochs: int = 15
     base_lr: float = 0.05
-    guided: bool = True
-    reshuffle_per_epoch: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -60,6 +58,10 @@ class ContrastiveConfig:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+
+    def plan_seed(self, epoch):
+        """Seed of the epoch's batch plan; the plan artifact uses the same one."""
+        return derive_seed(self.seed, "plan", epoch)
 
 
 def build_encoder(spec: EncoderSpec, seed) -> Sequential:
@@ -81,16 +83,6 @@ def build_head(spec: ProjectionHeadSpec, in_dim, seed) -> Sequential:
         Dense(rng, w1, w2, activation="relu"),
         Dense(rng, w2, w3, activation="linear"),
     ])
-
-
-def cosine_sim(u, v) -> float:
-    """u.v / (|u||v|); rejects zero vectors."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine_sim: zero vector")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 def interleaved_pairing(num_pairs):
@@ -156,11 +148,10 @@ def train_contrastive(dataset: ImageDataset, config: ContrastiveConfig,
                       aug_config: AugmentationConfig = None):
     """SGD + cosine decay over batches from guided or random plans.
 
-    Returns (encoder, head, LossHistory). Guided mode needs the pseudo
-    label assignment; labels proper are never touched.
+    Returns (encoder, head, LossHistory). Batches are guided by the
+    pseudo-label assignment when one is given and random otherwise;
+    labels proper are never touched.
     """
-    if config.guided and assignment is None:
-        raise ValueError("guided training requires a pseudo-label assignment")
     if aug_config is None:
         aug_config = AugmentationConfig(seed=derive_seed(config.seed, "augment"))
     encoder = build_encoder(encoder_spec, config.seed)
@@ -173,11 +164,11 @@ def train_contrastive(dataset: ImageDataset, config: ContrastiveConfig,
     history = LossHistory()
     step = 0
     for epoch in range(1, config.epochs + 1):
-        plan_seed = derive_seed(config.seed, "plan", epoch if config.reshuffle_per_epoch else 1)
-        if config.guided:
-            plan = build_guided_plan(assignment, p=config.batch_size, epoch_seed=plan_seed)
+        seed = config.plan_seed(epoch)
+        if assignment is not None:
+            plan = build_guided_plan(assignment, p=config.batch_size, epoch_seed=seed)
         else:
-            plan = build_random_plan(n, config.batch_size, epoch_seed=plan_seed)
+            plan = build_random_plan(n, config.batch_size, epoch_seed=seed)
         epoch_losses = []
         for bi, batch in enumerate(plan.batches):
             step_seed = derive_seed(config.seed, "augment", epoch, bi)
@@ -189,8 +180,7 @@ def train_contrastive(dataset: ImageDataset, config: ContrastiveConfig,
                 grads = gradients(loss, params)
                 sgd_cosine_step(params, grads, schedule, step)
             except NonFiniteError as err:
-                raise TrainingDivergedError(
-                    f"training diverged at epoch {epoch}, batch {bi}: {err}", history) from err
+                raise TrainingDivergedError(epoch, bi, err, history) from err
             step += 1
             value = loss.item()
             history.records.append((epoch, bi, value))

@@ -6,13 +6,13 @@ validation split. Latents always come from clean images: the pseudo
 labels downstream should describe the data, not the corruption.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ImageDataset, add_gaussian_noise
-from .layers import Conv2D, ConvTranspose2D, Sequential, export_parameters, load_parameters
-from .optim import AdamState, TrainingDivergedError, adam_step
+from .layers import Conv2D, ConvTranspose2D, Sequential
+from .optim import AdamState, TrainingDivergedError, adam_step, fit_early_stopping
 from .seeds import derive_seed
 from .tensor import NonFiniteError, Tensor, gradients, mse, no_grad
 
@@ -80,14 +80,6 @@ def build_autoencoder(spec: AutoencoderSpec, seed) -> Autoencoder:
     return Autoencoder(spec, Sequential(enc_layers), Sequential(dec_layers))
 
 
-@dataclass
-class TrainHistory:
-    train_loss: list = field(default_factory=list)   # one entry per epoch, 1-based
-    val_loss: list = field(default_factory=list)
-    best_epoch: int = 0
-    stopped_epoch: int = 0
-
-
 def early_stopping_scan(val_losses, patience):
     """(best_epoch, stopped_epoch), 1-based, for a validation-loss sequence.
 
@@ -141,10 +133,8 @@ def train_dae(model: Autoencoder, dataset: ImageDataset, sigma=0.01, max_epochs=
 
     params = model.params()
     state = AdamState.init(params, lr=adam_lr)
-    history = TrainHistory()
-    best_val, best_params, since = float("inf"), None, 0
 
-    for epoch in range(1, max_epochs + 1):
+    def train_epoch(epoch):
         order = train_idx.copy()
         np.random.default_rng(derive_seed(seed, "dae-shuffle", epoch)).shuffle(order)
         epoch_loss, seen = 0.0, 0
@@ -154,30 +144,16 @@ def train_dae(model: Autoencoder, dataset: ImageDataset, sigma=0.01, max_epochs=
             xn = add_gaussian_noise(x, sigma, derive_seed(seed, "dae-noise", epoch, bi))
             try:
                 loss = mse(model(Tensor(xn)), Tensor(x))
-                grads = gradients(loss, params)
-                adam_step(params, grads, state)
+                adam_step(params, gradients(loss, params), state)
             except NonFiniteError as err:
-                raise TrainingDivergedError(
-                    f"training diverged at epoch {epoch}, batch {bi}: {err}", history) from err
+                raise TrainingDivergedError(epoch, bi, err) from err
             epoch_loss += loss.item() * len(batch)
             seen += len(batch)
-        history.train_loss.append(epoch_loss / seen)
-        history.val_loss.append(reconstruction_loss(model, val_clean, val_corrupted))
+        return epoch_loss / seen
 
-        if history.val_loss[-1] < best_val:
-            best_val = history.val_loss[-1]
-            best_params = export_parameters(model)
-            history.best_epoch = epoch
-            since = 0
-        else:
-            since += 1
-        history.stopped_epoch = epoch
-        if since >= patience:
-            break
-
-    if best_params is not None:
-        load_parameters(model, best_params)
-    return model, history
+    return model, fit_early_stopping(
+        params, train_epoch, lambda: reconstruction_loss(model, val_clean, val_corrupted),
+        max_epochs, patience)
 
 
 def extract_latents(model: Autoencoder, dataset: ImageDataset, batch_size=256):

@@ -12,9 +12,9 @@ import numpy as np
 
 from .data import ImageDataset, stratified_indices
 from .layers import Dense
-from .optim import AdamState, adam_step
+from .optim import AdamState, TrainingDivergedError, adam_step, fit_early_stopping
 from .seeds import derive_seed
-from .tensor import Tensor, gradients, no_grad
+from .tensor import NonFiniteError, Tensor, gradients, no_grad
 
 
 class TapPoint(enum.Enum):
@@ -99,17 +99,23 @@ def fit_softmax_classifier(forward, params, train_inputs, train_labels,
 
     `forward` maps an input batch (numpy) to logits (Tensor); `params`
     are whatever should be trained through it. Restores the best-epoch
-    weights and returns the validation accuracy there.
+    weights and returns the validation accuracy there; a non-finite step
+    raises TrainingDivergedError.
     """
     state = AdamState.init(params, lr=lr)
-    best_val, best_params, since = float("inf"), None, 0
     n = len(train_inputs)
-    for epoch in range(1, epochs + 1):
+
+    def train_epoch(epoch):
         order = np.random.default_rng(derive_seed(seed, "clf-shuffle", epoch)).permutation(n)
-        for start in range(0, n, batch_size):
+        for bi, start in enumerate(range(0, n, batch_size)):
             batch = order[start:start + batch_size]
-            loss = softmax_cross_entropy(forward(train_inputs[batch]), train_labels[batch])
-            adam_step(params, gradients(loss, params), state)
+            try:
+                loss = softmax_cross_entropy(forward(train_inputs[batch]), train_labels[batch])
+                adam_step(params, gradients(loss, params), state)
+            except NonFiniteError as err:
+                raise TrainingDivergedError(epoch, bi, err) from err
+
+    def val_loss():
         with no_grad():
             val_losses, counts = [], []
             for start in range(0, len(val_inputs), batch_size):
@@ -117,16 +123,9 @@ def fit_softmax_classifier(forward, params, train_inputs, train_labels,
                 loss = softmax_cross_entropy(forward(val_inputs[chunk]), val_labels[chunk])
                 val_losses.append(loss.item())
                 counts.append(len(val_labels[chunk]))
-            val_loss = float(np.average(val_losses, weights=counts))
-        if val_loss < best_val:
-            best_val, best_params, since = val_loss, [p.data.copy() for p in params], 0
-        else:
-            since += 1
-            if since >= patience:
-                break
-    if best_params is not None:
-        for p, stored in zip(params, best_params):
-            p.data = stored
+        return float(np.average(val_losses, weights=counts))
+
+    fit_early_stopping(params, train_epoch, val_loss, epochs, patience)
     with no_grad():
         chunks = [forward(val_inputs[start:start + batch_size]).data
                   for start in range(0, len(val_inputs), batch_size)]

@@ -87,20 +87,6 @@ class GlobalAvgPool(Layer):
         return x.mean(axis=(1, 2))
 
 
-class MaxPool2D(Layer):
-    def __init__(self, size=2):
-        self.size = size
-
-    def __call__(self, x):
-        return T.max_pool2d(x, self.size)
-
-
-class Flatten(Layer):
-    def __call__(self, x):
-        n = x.shape[0]
-        return x.reshape(n, -1)
-
-
 class Sequential(Layer):
     def __init__(self, layers):
         self.layers = list(layers)
@@ -115,10 +101,6 @@ class Sequential(Layer):
         for layer in self.layers:
             x = layer(x)
         return x
-
-
-def get_parameters(model) -> list:
-    return model.params()
 
 
 def export_parameters(model):

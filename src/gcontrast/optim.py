@@ -1,18 +1,19 @@
-"""Adam and SGD-with-cosine-decay parameter updates."""
+"""Adam and SGD-with-cosine-decay parameter updates, and early stopping."""
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import NonFiniteError, ShapeError, Tensor
+from .tensor import NonFiniteError, ShapeError
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss went non-finite; carries the history up to the last finite step."""
+    """A value went non-finite at (epoch, batch); carries the history of
+    the completed steps or epochs."""
 
-    def __init__(self, message, history):
-        super().__init__(message)
+    def __init__(self, epoch, batch, cause, history=None):
+        super().__init__(f"training diverged at epoch {epoch}, batch {batch}: {cause}")
         self.history = history
 
 
@@ -85,3 +86,47 @@ def _check_grads(params, grads, op):
         if not np.isfinite(g).all():
             bad = int((~np.isfinite(g)).sum())
             raise NonFiniteError(f"{op}: gradient {i} (shape {g.shape}) has {bad} non-finite entries")
+
+
+@dataclass
+class TrainHistory:
+    train_loss: list = field(default_factory=list)   # one entry per epoch, 1-based
+    val_loss: list = field(default_factory=list)
+    best_epoch: int = 0
+    stopped_epoch: int = 0
+
+
+def fit_early_stopping(params, train_epoch, val_loss, max_epochs, patience) -> TrainHistory:
+    """Alternate train_epoch(epoch), whose result is recorded as the epoch's
+    training loss, and val_loss() until the validation loss fails to improve
+    on its best for `patience` epochs in a row; then restore the best
+    epoch's parameter values.
+
+    Divergence in either, raised as TrainingDivergedError (a non-finite
+    validation pass as batch "validation"), carries every completed epoch.
+    """
+    history = TrainHistory()
+    best_val, best_data, since = math.inf, None, 0
+    for epoch in range(1, max_epochs + 1):
+        try:
+            train = train_epoch(epoch)
+            val = val_loss()
+        except TrainingDivergedError as err:
+            err.history = history
+            raise
+        except NonFiniteError as err:
+            raise TrainingDivergedError(epoch, "validation", err, history) from err
+        history.train_loss.append(train)
+        history.val_loss.append(val)
+        history.stopped_epoch = epoch
+        if val < best_val:
+            best_val, best_data, since = val, [p.data.copy() for p in params], 0
+            history.best_epoch = epoch
+        else:
+            since += 1
+            if since >= patience:
+                break
+    if best_data is not None:
+        for p, data in zip(params, best_data):
+            p.data = data
+    return history

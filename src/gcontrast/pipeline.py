@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .artifacts import (
-    MissingArtifactError,
     append_jsonl,
     config_fingerprint,
     dataset_fingerprint,
@@ -40,7 +39,7 @@ from .contrastive import (
     train_contrastive,
 )
 from .dae import AutoencoderSpec, build_autoencoder, extract_latents, train_dae
-from .data import load_cifar10, make_synthetic, stratified_indices, subset, train_val_split
+from .data import load_cifar10, make_synthetic, subset, train_val_split
 from .evaluate import (
     FULL_SCALE_REFERENCE,
     TapPoint,
@@ -202,15 +201,6 @@ def stage_train_dae(ws: Workspace, force=False):
         f"val loss {min(history.val_loss):.6f}")
 
 
-def _load_dae(ws):
-    manifest, arrays = load_checkpoint(ws.path("dae_checkpoint"))
-    spec = AutoencoderSpec(encoder_layers=tuple(tuple(b) for b in manifest["encoder_blocks"]),
-                           image_size=manifest["image_size"], channels=manifest["channels"])
-    model = build_autoencoder(spec, 0)
-    load_parameters(model, arrays)
-    return model
-
-
 def stage_cluster(ws: Workspace, force=False):
     outputs = [ws.path("pseudo_labels.csv"), ws.path("cluster_model.json")]
     if _fresh(ws, outputs, force):
@@ -242,12 +232,11 @@ def _load_assignment(ws) -> PseudoLabelAssignment:
     return PseudoLabelAssignment(labels=labels, counts=np.bincount(labels, minlength=k))
 
 
-def _plan_for_epoch(ws, mode, assignment, epoch):
+def _contrastive_config(ws) -> ContrastiveConfig:
     cfg = ws.config
-    plan_seed = derive_seed(cfg.seed, "plan", epoch if cfg.scheduler.reshuffle_per_epoch else 1)
-    if mode == "guided":
-        return build_guided_plan(assignment, p=cfg.scheduler.p, epoch_seed=plan_seed)
-    return build_random_plan(len(ws.dataset), cfg.scheduler.p, epoch_seed=plan_seed)
+    return ContrastiveConfig(temperature=cfg.contrastive.temperature, batch_size=cfg.scheduler.p,
+                             epochs=cfg.contrastive.epochs, base_lr=cfg.contrastive.base_lr,
+                             seed=derive_seed(cfg.seed, "contrastive"))
 
 
 def stage_plan(ws: Workspace, mode, force=False):
@@ -256,23 +245,27 @@ def stage_plan(ws: Workspace, mode, force=False):
         log(f"plan[{mode}]: up to date, skipping (use --force to redo)")
         return
     assignment = _load_assignment(ws) if mode == "guided" else None
+    config, n = _contrastive_config(ws), len(ws.dataset)
     if mode == "guided":
         nonempty = int((assignment.counts > 0).sum())
-        if nonempty < ws.config.scheduler.p:
+        if nonempty < config.batch_size:
             log(f"plan[{mode}]: warning: only {nonempty} nonempty clusters for batch "
-                f"size {ws.config.scheduler.p}; guided batching degenerates toward random")
+                f"size {config.batch_size}; guided batching degenerates toward random")
     records = [{"config_hash": ws.config_hash}]
     check_against = assignment if assignment is not None else PseudoLabelAssignment(
-        labels=np.zeros(len(ws.dataset), dtype=np.int64), counts=np.array([len(ws.dataset)]))
-    epochs = ws.config.contrastive.epochs if ws.config.scheduler.reshuffle_per_epoch else 1
-    for epoch in range(1, epochs + 1):
-        plan = _plan_for_epoch(ws, mode, assignment, epoch)
+        labels=np.zeros(n, dtype=np.int64), counts=np.array([n]))
+    for epoch in range(1, config.epochs + 1):
+        seed = config.plan_seed(epoch)
+        if assignment is not None:
+            plan = build_guided_plan(assignment, p=config.batch_size, epoch_seed=seed)
+        else:
+            plan = build_random_plan(n, config.batch_size, epoch_seed=seed)
         validate_plan(plan, check_against)
         for bi, batch in enumerate(plan.batches):
             records.append({"epoch": epoch, "batch_index": bi,
                             "indices": [int(i) for i in batch]})
     write_jsonl(out, records)
-    log(f"plan[{mode}]: wrote {len(records) - 1} batches over {epochs} epoch plans")
+    log(f"plan[{mode}]: wrote {len(records) - 1} batches over {config.epochs} epoch plans")
 
 
 def stage_train_contrastive(ws: Workspace, mode, force=False):
@@ -284,13 +277,7 @@ def stage_train_contrastive(ws: Workspace, mode, force=False):
         return
     cfg = ws.config
     assignment = _load_assignment(ws) if mode == "guided" else None
-    config = ContrastiveConfig(temperature=cfg.contrastive.temperature,
-                               batch_size=cfg.scheduler.p,
-                               epochs=cfg.contrastive.epochs,
-                               base_lr=cfg.contrastive.base_lr,
-                               guided=(mode == "guided"),
-                               reshuffle_per_epoch=cfg.scheduler.reshuffle_per_epoch,
-                               seed=derive_seed(cfg.seed, "contrastive"))
+    config = _contrastive_config(ws)
     encoder_spec = EncoderSpec(blocks=cfg.contrastive.encoder_blocks,
                                channels=cfg.dataset.channels)
     head_spec = ProjectionHeadSpec(widths=cfg.contrastive.head_widths)

@@ -463,23 +463,3 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride=1, padding="same") -> Tensor:
 
     return _node("conv2d_transpose", out, (x, w), back)
 
-
-def max_pool2d(x: Tensor, size=2) -> Tensor:
-    """Non-overlapping max pooling with a square window."""
-    if x.ndim != 4:
-        raise ShapeError(f"max_pool2d: need 4-D input, got {x.shape}")
-    n, h, w, c = x.shape
-    if h % size or w % size:
-        raise ShapeError(f"max_pool2d: spatial dims {h}x{w} not divisible by window {size}")
-    ho, wo = h // size, w // size
-    r = x.data.reshape(n, ho, size, wo, size, c)
-    out = r.max(axis=(2, 4))
-
-    def back(g):
-        m = out.reshape(n, ho, 1, wo, 1, c)
-        mask = (r == m)
-        share = mask / mask.sum(axis=(2, 4), keepdims=True)
-        dr = share * g.reshape(n, ho, 1, wo, 1, c)
-        return (dr.reshape(n, h, w, c),)
-
-    return _node("max_pool2d", out, (x,), back)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gcontrast import contrastive
 from gcontrast.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -125,6 +126,29 @@ def test_plan_jsonl_layout(pipeline_dir):
     record = json.loads(lines[1])
     assert set(record) == {"epoch", "batch_index", "indices"}
     assert record["epoch"] == 1 and record["batch_index"] == 0
+
+
+def test_plan_file_holds_the_trained_batches(tmp_path, monkeypatch):
+    # training calls contrastive's plan builders; stage_plan calls its own
+    trained = []
+    for name in ("build_guided_plan", "build_random_plan"):
+        def recording(*args, _build=getattr(contrastive, name), **kwargs):
+            trained.append(_build(*args, **kwargs))
+            return trained[-1]
+        monkeypatch.setattr(contrastive, name, recording)
+    run_dir = str(tmp_path / "run")
+    stages = {"guided": ("train-dae", "cluster", "plan", "train-contrastive"),
+              "random": ("plan", "train-contrastive")}
+    for mode, commands in stages.items():
+        trained.clear()
+        for command in commands:
+            assert run(command, "--config", TINY, "--run-dir", run_dir, "--mode", mode) == 0
+        lines = (tmp_path / "run" / f"plan_{mode}.jsonl").read_text().splitlines()[1:]
+        on_disk = [(r["epoch"], r["batch_index"], r["indices"]) for r in map(json.loads, lines)]
+        assert len(trained) == 2  # tiny.ini trains 2 epochs
+        assert on_disk == [(epoch, bi, [int(i) for i in batch])
+                           for epoch, plan in enumerate(trained, start=1)
+                           for bi, batch in enumerate(plan.batches)], mode
 
 
 def test_results_records_carry_hashes(pipeline_dir):

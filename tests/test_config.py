@@ -26,7 +26,6 @@ def test_load_tiny_config():
     assert config.dataset.classes == 4
     assert config.dae.encoder_blocks == ((8, 3, 2), (16, 3, 2))
     assert config.contrastive.head_widths == (16, 12, 8)
-    assert config.scheduler.reshuffle_per_epoch is True
     assert validate(config) == []
 
 
@@ -67,6 +66,15 @@ def test_unknown_section_reported(tmp_path):
     bad.write_text("[nonsense]\nx = 1\n")
     with pytest.raises(ConfigError, match="unknown section"):
         load_config(bad)
+
+
+def test_unknown_keys_reported(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[run]\nseed = 1\nsede = 2\n[scheduler]\np = 8\nreshuffle_per_epoch = true\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(bad)
+    assert excinfo.value.errors == ["run.sede: unknown key",
+                                    "scheduler.reshuffle_per_epoch: unknown key"]
 
 
 def test_bad_block_syntax_reported(tmp_path):

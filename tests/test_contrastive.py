@@ -1,17 +1,17 @@
-"""Cosine similarity, NT-Xent loss, paired forward, and the training loop."""
+"""NT-Xent loss, paired forward, and the training loop."""
 
 import math
 
 import numpy as np
 import pytest
 
+from gcontrast import contrastive
 from gcontrast.contrastive import (
     ContrastiveConfig,
     EncoderSpec,
     ProjectionHeadSpec,
     build_encoder,
     build_head,
-    cosine_sim,
     forward_pair_batch,
     interleaved_pairing,
     nt_xent_loss,
@@ -23,26 +23,6 @@ from gcontrast.layers import export_parameters
 from gcontrast.tensor import Tensor, no_grad
 
 from helpers import gradcheck, nt_xent_reference
-
-
-def test_cosine_identity():
-    u = np.array([0.3, -1.2, 4.0])
-    assert cosine_sim(u, u) == pytest.approx(1.0)
-
-
-def test_cosine_orthogonal():
-    assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-
-def test_cosine_matches_direct_formula():
-    u, v = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
-    direct = 32.0 / (math.sqrt(14.0) * math.sqrt(77.0))
-    assert cosine_sim(u, v) == pytest.approx(direct, abs=1e-7)
-
-
-def test_cosine_rejects_zero_vector():
-    with pytest.raises(ValueError, match="zero"):
-        cosine_sim([0.0, 0.0], [1.0, 0.0])
 
 
 def test_interleaved_pairing_layout():
@@ -177,17 +157,26 @@ def test_forward_pair_batch_row_matches_single_path():
 
 def test_train_history_lengths():
     ds = make_synthetic(classes=2, per_class=4, image_size=8, seed=3)
-    config = ContrastiveConfig(batch_size=4, epochs=2, base_lr=0.05, guided=False, seed=0)
+    config = ContrastiveConfig(batch_size=4, epochs=2, base_lr=0.05, seed=0)
     _, _, history = train_contrastive(ds, config, SMALL_ENCODER, SMALL_HEAD)
     assert len(history.records) == 4  # 2 epochs x 2 batches
     assert len(history.epoch_means) == 2
 
 
-def test_train_guided_requires_assignment():
+def test_train_is_guided_exactly_when_given_an_assignment(monkeypatch):
     ds = make_synthetic(classes=2, per_class=4, image_size=8, seed=3)
-    config = ContrastiveConfig(batch_size=4, epochs=1, guided=True, seed=0)
-    with pytest.raises(ValueError, match="assignment"):
-        train_contrastive(ds, config, SMALL_ENCODER, SMALL_HEAD)
+    labels = np.tile([0, 1], 4)
+    assignment = PseudoLabelAssignment(labels=labels, counts=np.bincount(labels))
+    config = ContrastiveConfig(batch_size=4, epochs=1, seed=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the other mode's plan")
+
+    monkeypatch.setattr(contrastive, "build_guided_plan", refuse)
+    train_contrastive(ds, config, SMALL_ENCODER, SMALL_HEAD)
+    monkeypatch.undo()
+    monkeypatch.setattr(contrastive, "build_random_plan", refuse)
+    train_contrastive(ds, config, SMALL_ENCODER, SMALL_HEAD, assignment=assignment)
 
 
 def test_train_deterministic_weights():
@@ -196,7 +185,7 @@ def test_train_deterministic_weights():
     assignment = PseudoLabelAssignment(labels=labels, counts=np.bincount(labels))
 
     def run():
-        config = ContrastiveConfig(batch_size=4, epochs=2, guided=True, seed=11)
+        config = ContrastiveConfig(batch_size=4, epochs=2, seed=11)
         encoder, head, history = train_contrastive(ds, config, SMALL_ENCODER, SMALL_HEAD,
                                                    assignment=assignment)
         return export_parameters(encoder) + export_parameters(head), history

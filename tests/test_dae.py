@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gcontrast import dae
 from gcontrast.dae import (
     AutoencoderSpec,
     build_autoencoder,
@@ -13,6 +14,7 @@ from gcontrast.dae import (
 )
 from gcontrast.data import add_gaussian_noise, make_synthetic
 from gcontrast.layers import export_parameters
+from gcontrast.optim import TrainingDivergedError, adam_step
 from gcontrast.seeds import derive_seed
 from gcontrast.tensor import Tensor, no_grad
 
@@ -71,6 +73,27 @@ def test_early_stopping_runs_to_end_without_plateau():
 def test_early_stopping_equal_loss_counts_as_no_improvement():
     best, stopped = early_stopping_scan([1.0, 1.0, 1.0], patience=2)
     assert (best, stopped) == (1, 3)
+
+
+def test_divergence_history_holds_every_completed_epoch(monkeypatch):
+    ds = make_synthetic(classes=2, per_class=8, image_size=8, seed=2)
+    # 12 training images in batches of 4: three steps per epoch
+    kwargs = dict(sigma=0.01, patience=10, val_fraction=0.25, batch_size=4, seed=5)
+    _, undisturbed = train_dae(build_autoencoder(SMALL_SPEC, seed=0), ds, max_epochs=2, **kwargs)
+    steps = []
+
+    def nan_at_epoch_3_batch_1(params, grads, state):
+        steps.append(None)
+        if len(steps) == 2 * 3 + 2:
+            grads = [np.full_like(g, np.nan) for g in grads]
+        return adam_step(params, grads, state)
+
+    monkeypatch.setattr(dae, "adam_step", nan_at_epoch_3_batch_1)
+    with pytest.raises(TrainingDivergedError, match="epoch 3, batch 1") as excinfo:
+        train_dae(build_autoencoder(SMALL_SPEC, seed=0), ds, max_epochs=5, **kwargs)
+    history = excinfo.value.history
+    assert history.train_loss == undisturbed.train_loss
+    assert history.val_loss == undisturbed.val_loss
 
 
 def test_overfit_tiny_dataset_with_overcomplete_spec():

@@ -9,12 +9,14 @@ from gcontrast.evaluate import (
     EvalReport,
     TapPoint,
     fine_tune_10pct,
+    fit_softmax_classifier,
     linear_probe,
     softmax_cross_entropy,
     supervised_reference,
     tap,
 )
-from gcontrast.layers import export_parameters
+from gcontrast.layers import Dense, export_parameters
+from gcontrast.optim import TrainingDivergedError
 from gcontrast.tensor import Tensor, no_grad
 
 from helpers import gradcheck
@@ -167,3 +169,18 @@ def test_supervised_reference_deterministic():
 def test_eval_report_accuracy_range_validated():
     with pytest.raises(ValueError, match="outside"):
         EvalReport(method="guided", eval_name="P3", accuracy=101.0, seed=0)
+
+
+def test_classifier_divergence_names_epoch_and_batch():
+    # a huge step overflows the logits of the next batch; the error must
+    # be the one the CLI reports as a runtime failure, not a bare
+    # floating-point error
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 5)).astype(np.float32)
+    y = rng.integers(0, 3, size=40)
+    clf = Dense(np.random.default_rng(1), 5, 3, activation="linear")
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TrainingDivergedError, match="epoch 1, batch 1") as excinfo:
+        fit_softmax_classifier(lambda xb: clf(Tensor(xb)), clf.params(), x[:32], y[:32],
+                               x[32:], y[32:], epochs=3, batch_size=8, lr=1e38)
+    assert not isinstance(excinfo.value, FloatingPointError)

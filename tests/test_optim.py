@@ -1,9 +1,17 @@
-"""Adam and cosine-schedule SGD updates."""
+"""Adam and cosine-schedule SGD updates, and the early-stopping loop."""
 
 import numpy as np
 import pytest
 
-from gcontrast.optim import AdamState, CosineSchedule, adam_step, sgd_cosine_step
+from gcontrast.dae import early_stopping_scan
+from gcontrast.optim import (
+    AdamState,
+    CosineSchedule,
+    TrainingDivergedError,
+    adam_step,
+    fit_early_stopping,
+    sgd_cosine_step,
+)
 from gcontrast.tensor import NonFiniteError, ShapeError, Tensor
 
 
@@ -85,3 +93,48 @@ def test_sgd_cosine_step_applies_scheduled_rate():
     sched = CosineSchedule(base_lr=0.5, total_steps=8)
     sgd_cosine_step([p], [np.array([2.0])], sched, t=0)
     assert p.data[0] == pytest.approx(1.0 - 0.5 * 2.0)
+
+
+def _epoch_tagging_run(val_losses, patience, max_epochs):
+    # each epoch sets the parameter to its own number, so the restored
+    # value names the epoch whose weights were kept
+    p = Tensor(np.array([0.0]), requires_grad=True)
+
+    def train_epoch(epoch):
+        p.data = np.array([float(epoch)])
+        return 10.0 * epoch
+
+    return p, fit_early_stopping([p], train_epoch, lambda: val_losses[int(p.data[0]) - 1],
+                                 max_epochs, patience)
+
+
+def test_fit_early_stopping_restores_best_epoch():
+    losses = [3.0, 1.0, 2.0, 2.5, 0.5]
+    p, history = _epoch_tagging_run(losses, patience=2, max_epochs=5)
+    assert (history.best_epoch, history.stopped_epoch) == early_stopping_scan(losses, 2) == (2, 4)
+    assert history.train_loss == [10.0, 20.0, 30.0, 40.0]
+    assert history.val_loss == losses[:4]
+    np.testing.assert_array_equal(p.data, [2.0])
+
+
+def test_fit_early_stopping_runs_to_max_epochs():
+    p, history = _epoch_tagging_run([3.0, 2.0, 1.0], patience=1, max_epochs=3)
+    assert (history.best_epoch, history.stopped_epoch) == (3, 3)
+    np.testing.assert_array_equal(p.data, [3.0])
+
+
+def test_fit_early_stopping_reports_validation_divergence():
+    p = Tensor(np.array([0.0]), requires_grad=True)
+
+    def train_epoch(epoch):
+        p.data = np.array([float(epoch)])
+        return 0.0
+
+    def val_loss():
+        if p.data[0] == 2.0:
+            raise NonFiniteError("matmul: produced non-finite values")
+        return 1.0
+
+    with pytest.raises(TrainingDivergedError, match="epoch 2, batch validation") as excinfo:
+        fit_early_stopping([p], train_epoch, val_loss, max_epochs=5, patience=5)
+    assert excinfo.value.history.val_loss == [1.0]

@@ -13,7 +13,6 @@ from gcontrast.tensor import (
     conv2d_transpose,
     gradients,
     matmul,
-    max_pool2d,
     mse,
     no_grad,
 )
@@ -96,13 +95,6 @@ def test_conv2d_transpose_upsamples_shape():
     w = Tensor(np.zeros((3, 3, 5, 8)))
     out = conv2d_transpose(x, w, stride=2, padding="same")
     assert out.shape == (2, 8, 8, 5)
-
-
-def test_max_pool_values_and_shape():
-    x = np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1)
-    out = max_pool2d(Tensor(x), 2)
-    assert out.shape == (1, 2, 2, 1)
-    np.testing.assert_array_equal(out.data[0, :, :, 0], [[5.0, 7.0], [13.0, 15.0]])
 
 
 def test_backward_quadratic():
@@ -225,14 +217,6 @@ def test_grad_reductions_and_normalize(seed):
     gradcheck(lambda ts: ts[0].logsumexp(axis=1).sum(), [x], **DOUBLE)
     gradcheck(lambda ts: (ts[0].l2_normalize(axis=1) * 0.3).sum(), [x], **DOUBLE)
     gradcheck(lambda ts: ts[0].mean(axis=0).sum(), [x], **DOUBLE)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_grad_max_pool(seed):
-    # distinct values with a wide margin so FD never straddles a max switch
-    rng = np.random.default_rng(seed)
-    x = (rng.permutation(2 * 4 * 4 * 2).astype(np.float64) / 7.0).reshape(2, 4, 4, 2)
-    gradcheck(lambda ts: (max_pool2d(ts[0], 2) * 1.3).sum(), [x], **DOUBLE)
 
 
 def test_grad_broadcast_add_sums_over_batch():
