@@ -114,16 +114,16 @@ def read_csv(path, producer="(unknown)"):
 
 
 def write_latents_csv(path, latents, config_hash):
-    # %.9g keeps the full float32 value; formatting is vectorized because
-    # desk-scale latent matrices run to millions of entries
+    # %.9g keeps the full float32 value; one format string per row, so no
+    # array of millions of cell strings is ever built
     n, d = latents.shape
     header = "index," + ",".join(f"dim{i}" for i in range(d))
-    cells = np.char.mod("%.9g", latents)
+    row_format = ",".join(["%.9g"] * d) + "\n"
     with _atomic_open(path) as fh:
         fh.write(f"# config_hash={config_hash}\n")
         fh.write(header + "\n")
-        for i, row in enumerate(cells.tolist()):
-            fh.write(f"{i}," + ",".join(row) + "\n")
+        for i, row in enumerate(latents):
+            fh.write(f"{i}," + row_format % tuple(row.tolist()))
 
 
 def read_latents_csv(path, producer="train-dae"):

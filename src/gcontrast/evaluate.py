@@ -52,24 +52,32 @@ class EvalReport:
             raise ValueError(f"accuracy {self.accuracy} outside [0, 100]")
 
 
-def tap(encoder, head, point: TapPoint):
-    """Frozen feature extractor reading at the requested tap point."""
-    if point is TapPoint.P3:
-        head_layers = []
-    elif point is TapPoint.P2:
-        head_layers = head.layers[:1]
-    else:
-        head_layers = head.layers[:2]
+# head layers each tap point keeps
+_HEAD_DEPTH = {TapPoint.P1: 2, TapPoint.P2: 1, TapPoint.P3: 0}
+
+
+def tap(encoder, head, points):
+    """Frozen feature extractor reading at the requested tap points.
+
+    For one TapPoint the extractor returns its feature matrix. For a
+    sequence of them it returns one matrix per point, in order, from a
+    single backbone pass over each chunk of images.
+    """
+    single = isinstance(points, TapPoint)
+    depths = [_HEAD_DEPTH[p] for p in ((points,) if single else points)]
+    head_layers = head.layers[:max(depths, default=0)]
 
     def extract(images, batch_size=256):
-        rows = []
+        rows = [[] for _ in depths]
         with no_grad():
             for start in range(0, len(images), batch_size):
-                feat = encoder(Tensor(images[start:start + batch_size]))
+                feats = [encoder(Tensor(images[start:start + batch_size]))]
                 for layer in head_layers:
-                    feat = layer(feat)
-                rows.append(feat.data)
-        return np.concatenate(rows, axis=0)
+                    feats.append(layer(feats[-1]))
+                for out, depth in zip(rows, depths):
+                    out.append(feats[depth].data)
+        matrices = tuple(np.concatenate(r, axis=0) for r in rows)
+        return matrices[0] if single else matrices
 
     return extract
 
@@ -132,14 +140,19 @@ def fit_softmax_classifier(forward, params, train_inputs, train_labels,
     return _accuracy_percent(np.concatenate(chunks, axis=0), val_labels)
 
 
-def linear_probe(extractor, train_ds: ImageDataset, val_ds: ImageDataset,
+def linear_probe(features, train_ds: ImageDataset, val_ds: ImageDataset,
                  epochs=50, patience=5, seed=0, method="guided",
                  eval_name="P3") -> EvalReport:
-    """Single dense layer on frozen features; the extractor never trains."""
+    """Single dense layer on frozen features; the extractor never trains.
+
+    `features` is an extractor mapping images to feature rows, or the
+    (train, val) pair of feature matrices already extracted.
+    """
     _check_labels(train_ds.labels, train_ds.num_classes)
     _check_labels(val_ds.labels, train_ds.num_classes)
-    train_x = extractor(train_ds.images).astype(np.float32)
-    val_x = extractor(val_ds.images).astype(np.float32)
+    if callable(features):
+        features = features(train_ds.images), features(val_ds.images)
+    train_x, val_x = (f.astype(np.float32) for f in features)
     rng = np.random.default_rng(derive_seed(seed, "probe-init", eval_name))
     clf = Dense(rng, train_x.shape[1], train_ds.num_classes, activation="linear")
     accuracy = fit_softmax_classifier(

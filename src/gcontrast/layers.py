@@ -45,8 +45,8 @@ class Conv2D(Layer):
         return [self.w, self.b]
 
     def __call__(self, x):
-        out = T.conv2d(x, self.w, stride=self.stride, padding=self.padding) + self.b
-        return out.relu() if self.activation == "relu" else out
+        return T.conv2d(x, self.w, stride=self.stride, padding=self.padding,
+                        bias=self.b, relu=self.activation == "relu")
 
 
 class ConvTranspose2D(Layer):
@@ -64,8 +64,8 @@ class ConvTranspose2D(Layer):
         return [self.w, self.b]
 
     def __call__(self, x):
-        out = T.conv2d_transpose(x, self.w, stride=self.stride, padding=self.padding) + self.b
-        return out.relu() if self.activation == "relu" else out
+        return T.conv2d_transpose(x, self.w, stride=self.stride, padding=self.padding,
+                                  bias=self.b, relu=self.activation == "relu")
 
 
 class Dense(Layer):

@@ -357,13 +357,17 @@ def stage_probe(ws: Workspace, mode, force=False, supervised=False):
     encoder, head, spec = _load_contrastive(ws, mode)
     train_ds, val_ds = ws.eval_split()
     reports = []
-    for point_name in to_run:
-        extractor = tap(encoder, head, TapPoint(point_name))
-        reports.append(linear_probe(extractor, train_ds, val_ds,
-                                    epochs=cfg.eval.probe_epochs, patience=cfg.eval.patience,
-                                    seed=derive_seed(cfg.seed, "probe", mode, point_name),
-                                    method=method, eval_name=point_name))
-        log(f"probe[{mode}] {point_name}: {reports[-1].accuracy:.2f}%")
+    if to_run:
+        # one backbone pass per split feeds every tap point
+        extract = tap(encoder, head, [TapPoint(p) for p in to_run])
+        features = zip(extract(train_ds.images), extract(val_ds.images))
+        for point_name, split_features in zip(to_run, features):
+            reports.append(linear_probe(split_features, train_ds, val_ds,
+                                        epochs=cfg.eval.probe_epochs,
+                                        patience=cfg.eval.patience,
+                                        seed=derive_seed(cfg.seed, "probe", mode, point_name),
+                                        method=method, eval_name=point_name))
+            log(f"probe[{mode}] {point_name}: {reports[-1].accuracy:.2f}%")
     if run_supervised:
         fresh_encoder = build_encoder(spec, derive_seed(cfg.seed, "supervised-encoder"))
         report = supervised_reference(fresh_encoder, spec.feature_dim, train_ds, val_ds,

@@ -273,9 +273,15 @@ def gradients(loss, params):
 
 
 def _node(op, data, parents, backward):
+    data = np.asarray(data)
+    _check_finite(data, op)
+    return _record(data, parents, backward)
+
+
+def _record(data, parents, backward):
+    """Tape node for an already screened value."""
     out = Tensor.__new__(Tensor)
-    out.data = np.asarray(data)
-    _check_finite(out.data, op)
+    out.data = data
     out.grad = None
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -397,8 +403,38 @@ def _col2im(dcols, n, ho, wo, kh, kw, stride, padded_shape):
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, stride=1, padding="valid") -> Tensor:
-    """2-D convolution, NHWC input against (kh, kw, C, F) kernel."""
+def _bias_relu(out, bias, relu, op):
+    # the screen sits before relu, which would zero a -inf pre-activation
+    if bias is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = out + bias.data
+    _check_finite(out, op)
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _bias_relu_back(g, out, bias, relu):
+    """Pre-activation gradient, and the bias gradient as a 0- or 1-tuple."""
+    if relu:
+        g = g * (out > 0.0)
+    return g, (() if bias is None else (g.sum(axis=(0, 1, 2)),))
+
+
+def _conv_parents(x, w, bias, op, filters):
+    if bias is None:
+        return (x, w)
+    if bias.shape != (filters,):
+        raise ShapeError(f"{op}: bias shape {bias.shape} != ({filters},)")
+    return (x, w, bias)
+
+
+def conv2d(x: Tensor, w: Tensor, stride=1, padding="valid", bias=None, relu=False) -> Tensor:
+    """2-D convolution, NHWC input against (kh, kw, C, F) kernel.
+
+    An optional (F,) `bias` is added and `relu` applied in the same tape
+    node. The input gradient is computed only when `x` requires one.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: need 4-D input and kernel, got {x.shape} and {w.shape}")
     n, h, wd, c = x.shape
@@ -406,30 +442,37 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding="valid") -> Tensor:
     if kc != c:
         raise ShapeError(f"conv2d: input channels {c} != kernel channels {kc} "
                          f"(input {x.shape}, kernel {w.shape})")
+    parents = _conv_parents(x, w, bias, "conv2d", f)
     ho, pt, pb = _conv_geometry(h, kh, stride, padding, "conv2d")
     wo, pl, pr = _conv_geometry(wd, kw, stride, padding, "conv2d")
     xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if (pt | pb | pl | pr) else x.data
     cols, ho2, wo2 = _im2col(xp, kh, kw, stride)
     assert (ho2, wo2) == (ho, wo)
     wf = w.data.reshape(kh * kw * c, f)
-    out = (cols @ wf).reshape(n, ho, wo, f)
+    out = _bias_relu((cols @ wf).reshape(n, ho, wo, f), bias, relu, "conv2d")
     padded_shape = xp.shape
 
     def back(g):
+        g, dbias = _bias_relu_back(g, out, bias, relu)
         gf = g.reshape(n * ho * wo, f)
         dw = (cols.T @ gf).reshape(kh, kw, c, f)
-        dxp = _col2im(gf @ wf.T, n, ho, wo, kh, kw, stride, padded_shape)
-        dx = dxp[:, pt:padded_shape[1] - pb, pl:padded_shape[2] - pr, :]
-        return (dx, dw)
+        dx = None
+        if x.requires_grad:
+            dxp = _col2im(gf @ wf.T, n, ho, wo, kh, kw, stride, padded_shape)
+            dx = dxp[:, pt:padded_shape[1] - pb, pl:padded_shape[2] - pr, :]
+        return (dx, dw) + dbias
 
-    return _node("conv2d", out, (x, w), back)
+    return _record(out, parents, back)
 
 
-def conv2d_transpose(x: Tensor, w: Tensor, stride=1, padding="same") -> Tensor:
+def conv2d_transpose(x: Tensor, w: Tensor, stride=1, padding="same", bias=None,
+                     relu=False) -> Tensor:
     """Transposed 2-D convolution (the adjoint of conv2d).
 
     Kernel layout is (kh, kw, out_channels, in_channels); with 'same'
-    padding the output is exactly ``stride`` times larger spatially.
+    padding the output is exactly ``stride`` times larger spatially. An
+    optional (out_channels,) `bias` is added and `relu` applied in the
+    same tape node.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d_transpose: need 4-D input and kernel, got {x.shape} and {w.shape}")
@@ -438,6 +481,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride=1, padding="same") -> Tensor:
     if kc != c:
         raise ShapeError(f"conv2d_transpose: input channels {c} != kernel channels {kc} "
                          f"(input {x.shape}, kernel {w.shape})")
+    parents = _conv_parents(x, w, bias, "conv2d_transpose", f)
     if padding == "same":
         oh, ow = h * stride, wd * stride
     else:
@@ -452,14 +496,15 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride=1, padding="same") -> Tensor:
     wf = w.data.reshape(kh * kw * f, c)
     xf = x.data.reshape(n * h * wd, c)
     scattered = _col2im(xf @ wf.T, n, h, wd, kh, kw, stride, padded_shape)
-    out = scattered[:, pt:padded_shape[1] - pb, pl:padded_shape[2] - pr, :]
+    out = _bias_relu(scattered[:, pt:padded_shape[1] - pb, pl:padded_shape[2] - pr, :],
+                     bias, relu, "conv2d_transpose")
 
     def back(g):
+        g, dbias = _bias_relu_back(g, out, bias, relu)
         gp = np.pad(g, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if (pt | pb | pl | pr) else g
         gcols, _, _ = _im2col(gp, kh, kw, stride)
         dx = (gcols @ wf).reshape(n, h, wd, c)
         dw = (gcols.T @ xf).reshape(kh, kw, f, c)
-        return (dx, dw)
+        return (dx, dw) + dbias
 
-    return _node("conv2d_transpose", out, (x, w), back)
-
+    return _record(out, parents, back)

@@ -234,6 +234,7 @@ def test_08_cosine_schedule_endpoints():
             started)
 
 
+@pytest.mark.slow
 def test_09_directional_end_to_end(tmp_path):
     started = time.time()
     config = load_config(os.path.join(CONFIGS, "desk.ini"))

@@ -53,3 +53,22 @@ def test_completed_write_leaves_only_the_artifact(writer, tmp_path):
     WRITERS[writer](tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names and not any(name.endswith(".tmp") for name in names)
+
+
+def test_latents_csv_matches_elementwise_formatting(tmp_path):
+    # the reference formats every cell with np.char.mod, as the writer
+    # once did; the file must not change by a byte
+    f32 = np.finfo(np.float32)
+    latents = np.array([
+        [0.0, -0.0, f32.smallest_subnormal, -f32.smallest_subnormal],
+        [f32.tiny, f32.max, -f32.max, f32.eps],
+        [np.float32(1) / 3, -2.5e-7, 123456789.0, 1e-45],
+    ], dtype=np.float32)
+    path = tmp_path / "latents.csv"
+    artifacts.write_latents_csv(str(path), latents, "abc")
+    cells = np.char.mod("%.9g", latents)
+    want = "# config_hash=abc\nindex,dim0,dim1,dim2,dim3\n" + "".join(
+        f"{i}," + ",".join(row) + "\n" for i, row in enumerate(cells.tolist()))
+    assert path.read_text() == want
+    _, back = artifacts.read_latents_csv(str(path))
+    assert np.array_equal(back, latents)

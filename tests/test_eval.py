@@ -48,6 +48,30 @@ def test_tap_p1_equals_manual_composition():
     np.testing.assert_allclose(got, manual.data, atol=1e-7)
 
 
+def test_tap_of_several_points_matches_one_point_at_a_time():
+    # 300 images: the last 256-image chunk is partial
+    encoder, head = small_model(seed=4)
+    images = make_synthetic(classes=3, per_class=100, image_size=8, seed=2).images
+    points = [TapPoint.P1, TapPoint.P2, TapPoint.P3]
+    together = tap(encoder, head, points)(images)
+    assert len(together) == len(points)
+    for point, features in zip(points, together):
+        alone = tap(encoder, head, point)(images)
+        assert features.dtype == alone.dtype
+        assert np.array_equal(features, alone)
+
+
+def test_linear_probe_on_extracted_features_matches_extractor():
+    encoder, head = small_model(seed=5)
+    ds = make_synthetic(classes=3, per_class=10, image_size=8, seed=2)
+    train, val = train_val_split(ds, 0.2, seed=0)
+    extractor = tap(encoder, head, TapPoint.P2)
+    from_extractor = linear_probe(extractor, train, val, epochs=3, seed=0)
+    from_features = linear_probe((extractor(train.images), extractor(val.images)),
+                                 train, val, epochs=3, seed=0)
+    assert from_features == from_extractor
+
+
 def test_softmax_cross_entropy_gradient():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(6, 4))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gcontrast.tensor as tensor_module
 from gcontrast.tensor import (
     NonFiniteError,
     ShapeError,
@@ -209,6 +210,74 @@ def test_grad_conv2d_transpose(seed):
     x, w = _random_arrays(seed, [(1, 3, 3, 2), (3, 3, 3, 2)], np.float64)
     gradcheck(lambda ts: conv2d_transpose(ts[0], ts[1], stride=2, padding="same").sum(),
               [x, w], **DOUBLE)
+
+
+def _clear_of_relu_kink(seed, specs, dtype, preactivation, step):
+    # regenerate until preactivations clear the relu kink by > 5 FD steps,
+    # as in test_grad_dense_chain
+    rng = np.random.default_rng(seed)
+    while True:
+        arrays = [rng.normal(size=s).astype(dtype) for s in specs]
+        if np.abs(preactivation(*arrays)).min() > 5 * step:
+            return arrays
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, SINGLE), (np.float64, DOUBLE)])
+@pytest.mark.parametrize("seed", range(10))
+def test_grad_conv2d_bias_relu(seed, dtype, tol):
+    x, w, b = _clear_of_relu_kink(
+        seed, [(2, 5, 5, 2), (3, 3, 2, 3), (3,)], dtype,
+        lambda x, w, b: conv2d(Tensor(x), Tensor(w), stride=2, padding="same").data + b,
+        tol["step"])
+    gradcheck(lambda ts: (conv2d(ts[0], ts[1], stride=2, padding="same",
+                                 bias=ts[2], relu=True) * 0.7).sum(), [x, w, b], **tol)
+
+
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, SINGLE), (np.float64, DOUBLE)])
+@pytest.mark.parametrize("seed", range(5))
+def test_grad_conv2d_transpose_bias_relu(seed, dtype, tol, relu):
+    x, w, b = _clear_of_relu_kink(
+        seed, [(1, 3, 3, 2), (3, 3, 3, 2), (3,)], dtype,
+        lambda x, w, b: conv2d_transpose(Tensor(x), Tensor(w), stride=2, padding="same").data + b,
+        tol["step"])
+    gradcheck(lambda ts: (conv2d_transpose(ts[0], ts[1], stride=2, padding="same",
+                                           bias=ts[2], relu=relu) * 0.7).sum(),
+              [x, w, b], **tol)
+
+
+def test_conv2d_skips_input_gradient_when_input_needs_none(monkeypatch):
+    scatters = []
+    col2im = tensor_module._col2im
+    monkeypatch.setattr(tensor_module, "_col2im",
+                        lambda *args: scatters.append(1) or col2im(*args))
+    x, w, b = _random_arrays(0, [(2, 6, 6, 3), (3, 3, 3, 4), (4,)], np.float32)
+
+    def weight_grad(x_requires_grad):
+        ts = [Tensor(x, requires_grad=x_requires_grad),
+              Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)]
+        conv2d(ts[0], ts[1], stride=2, padding="same", bias=ts[2], relu=True).sum().backward()
+        return ts[0].grad, ts[1].grad
+
+    dx, dw_with_dx = weight_grad(True)
+    assert dx is not None and len(scatters) == 1
+    dx, dw = weight_grad(False)
+    assert dx is None and len(scatters) == 1
+    assert np.array_equal(dw, dw_with_dx)
+
+
+@pytest.mark.parametrize("overflow_in", ["kernel", "bias"])
+@pytest.mark.parametrize("op", [conv2d, conv2d_transpose])
+def test_fused_conv_screens_pre_activation_before_relu(op, overflow_in):
+    # a -inf pre-activation is an error even though relu would zero it
+    big = np.finfo(np.float32).max
+    x = Tensor(np.full((1, 2, 2, 1), big, dtype=np.float32))
+    w = Tensor(np.full((1, 1, 1, 1), -2.0 if overflow_in == "kernel" else -1.0,
+                       dtype=np.float32))
+    b = Tensor(np.full(1, 0.0 if overflow_in == "kernel" else -big, dtype=np.float32))
+    with pytest.raises(NonFiniteError, match=op.__name__):
+        with np.errstate(over="ignore"):
+            op(x, w, padding="same", bias=b, relu=True)
 
 
 @pytest.mark.parametrize("seed", range(5))
