@@ -35,17 +35,18 @@ class PseudoLabelAssignment:
         return len(self.counts)
 
 
-def _sq_distances(Y, centroids):
-    # ||y||^2 - 2 y.c + ||c||^2 via gemm; clamp tiny negatives from rounding
-    d = (Y * Y).sum(axis=1)[:, None] - 2.0 * (Y @ centroids.T) + (centroids * centroids).sum(axis=1)[None, :]
+def _sq_distances(Y, y_sq, centroids):
+    # ||y||^2 - 2 y.c + ||c||^2 via gemm, with y_sq = (Y * Y).sum(axis=1)
+    # computed once per matrix; clamp tiny negatives from rounding
+    d = y_sq[:, None] - 2.0 * (Y @ centroids.T) + (centroids * centroids).sum(axis=1)[None, :]
     return np.maximum(d, 0.0)
 
 
-def _plusplus_init(Y, k, rng):
+def _plusplus_init(Y, y_sq, k, rng):
     n = len(Y)
     centroids = np.empty((k, Y.shape[1]), dtype=np.float64)
     centroids[0] = Y[rng.integers(n)]
-    closest = _sq_distances(Y, centroids[:1]).reshape(-1)
+    closest = _sq_distances(Y, y_sq, centroids[:1]).reshape(-1)
     for i in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -54,7 +55,7 @@ def _plusplus_init(Y, k, rng):
         else:
             idx = rng.choice(n, p=closest / total)
         centroids[i] = Y[idx]
-        closest = np.minimum(closest, _sq_distances(Y, centroids[i:i + 1]).reshape(-1))
+        closest = np.minimum(closest, _sq_distances(Y, y_sq, centroids[i:i + 1]).reshape(-1))
     return centroids
 
 
@@ -65,11 +66,12 @@ def kmeans_fit(Y, k=64, seed=0, max_iter=300, tol=1e-4) -> ClusterModel:
     if n < k:
         raise ValueError(f"need at least k={k} points, got {n}")
     rng = np.random.default_rng(derive_seed(seed, "kmeans"))
-    centroids = _plusplus_init(Y, k, rng)
+    y_sq = (Y * Y).sum(axis=1)
+    centroids = _plusplus_init(Y, y_sq, k, rng)
     inertia_history = []
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        dists = _sq_distances(Y, centroids)
+        dists = _sq_distances(Y, y_sq, centroids)
         labels = dists.argmin(axis=1)
         point_d = dists[np.arange(n), labels]
         # re-seed empty clusters to the farthest point from its centroid
@@ -86,7 +88,7 @@ def kmeans_fit(Y, k=64, seed=0, max_iter=300, tol=1e-4) -> ClusterModel:
         centroids = new_centroids
         if shift < tol:
             break
-    final = _sq_distances(Y, centroids)
+    final = _sq_distances(Y, y_sq, centroids)
     final_labels = final.argmin(axis=1)
     inertia = float(final[np.arange(n), final_labels].sum())
     inertia_history.append(inertia)
@@ -100,7 +102,7 @@ def assign(model: ClusterModel, Y) -> PseudoLabelAssignment:
     if Y.shape[1] != model.centroids.shape[1]:
         raise ValueError(f"points have {Y.shape[1]} dims, centroids have "
                          f"{model.centroids.shape[1]}")
-    labels = _sq_distances(Y, model.centroids).argmin(axis=1)
+    labels = _sq_distances(Y, (Y * Y).sum(axis=1), model.centroids).argmin(axis=1)
     counts = np.bincount(labels, minlength=model.k)
     return PseudoLabelAssignment(labels=labels.astype(np.int64), counts=counts)
 

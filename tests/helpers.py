@@ -88,6 +88,23 @@ def conv2d_reference(x, w, stride=1, padding="valid"):
     return out
 
 
+def col2im_reference(dcols, n, ho, wo, kh, kw, stride, pt, pl, shape):
+    """Tap-by-tap scatter of im2col patch gradients.
+
+    One strided += per kernel tap, in (i, j) order, into the whole padded
+    input, then the crop to `shape` (n, H, W, C) at offset (pt, pl).
+    """
+    _, h, w, c = shape
+    hp = max(pt + h, (ho - 1) * stride + kh)
+    wp = max(pl + w, (wo - 1) * stride + kw)
+    out = np.zeros((n, hp, wp, c), dtype=dcols.dtype)
+    dcols = dcols.reshape(n, ho, wo, kh, kw, c)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, :, :, i, j]
+    return out[:, pt:pt + h, pl:pl + w]
+
+
 def nt_xent_reference(z, pairing, tau):
     """Brute-force NT-Xent: direct exponential sums, no log-sum-exp trick.
 

@@ -146,6 +146,14 @@ def test_fine_tune_returns_report_and_trains_encoder():
     assert any(not np.array_equal(a, b) for a, b in zip(before, after))
 
 
+def test_fine_tune_keeps_float32_encoder_parameters():
+    encoder, _ = small_model(seed=6)
+    ds = make_synthetic(classes=2, per_class=30, image_size=8, seed=4)
+    train, val = train_val_split(ds, 0.2, seed=0)
+    fine_tune_10pct(encoder, ENC_SPEC.feature_dim, train, val, fraction=0.2, epochs=2, seed=1)
+    assert [p.data.dtype for p in encoder.params()] == [np.float32] * len(encoder.params())
+
+
 def test_fine_tune_fraction_one_uses_all_training_data():
     encoder, _ = small_model(seed=7)
     ds = make_synthetic(classes=2, per_class=10, image_size=8, seed=5)

@@ -1,11 +1,12 @@
 """Conv layers run as one fused tape node, bit for bit equal to the
-separate conv, bias-add and relu nodes they replace."""
+separate conv, bias-add and relu nodes they replace; pooling keeps the
+input's dtype in its gradient."""
 
 import numpy as np
 import pytest
 
 from gcontrast import tensor as T
-from gcontrast.layers import Conv2D, ConvTranspose2D
+from gcontrast.layers import Conv2D, ConvTranspose2D, GlobalAvgPool
 from gcontrast.tensor import Tensor
 
 
@@ -48,3 +49,11 @@ def test_fused_layer_matches_unfused_bit_for_bit(layer_cls, activation, param_dt
     for g, w in zip(got_grads, want_grads):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+
+
+def test_global_avg_pool_gradient_keeps_float32():
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 5, 4)).astype(np.float32),
+               requires_grad=True)
+    GlobalAvgPool()(x).sum().backward()
+    assert x.grad.dtype == np.float32
+    assert np.array_equal(x.grad, np.full(x.shape, 1 / 15, dtype=np.float32))

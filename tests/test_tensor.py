@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gcontrast.tensor as tensor_module
@@ -18,7 +18,7 @@ from gcontrast.tensor import (
     no_grad,
 )
 
-from helpers import conv2d_reference, gradcheck
+from helpers import col2im_reference, conv2d_reference, gradcheck
 
 
 def test_relu_values():
@@ -264,6 +264,66 @@ def test_conv2d_skips_input_gradient_when_input_needs_none(monkeypatch):
     dx, dw = weight_grad(False)
     assert dx is None and len(scatters) == 1
     assert np.array_equal(dw, dw_with_dx)
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _order_sensitive(rng, shape, dtype):
+    # magnitudes over six decades make a sum's bits depend on its order;
+    # signed zeros show whether an untouched pixel starts from +0
+    vals = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    vals[rng.random(shape) < 0.2] = -0.0
+    return vals.astype(dtype)
+
+
+@given(kh=st.integers(1, 5), kw=st.integers(1, 5), stride=st.integers(1, 3),
+       padding=st.sampled_from(["same", "valid"]), h=st.integers(1, 10), w=st.integers(1, 10),
+       n=st.integers(1, 2), c=st.integers(1, 3),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=300, deadline=None)
+def test_col2im_matches_tap_by_tap_scatter(kh, kw, stride, padding, h, w, n, c, dtype, seed):
+    assume(padding == "same" or (h >= kh and w >= kw))
+    ho, pt, _ = tensor_module._conv_geometry(h, kh, stride, padding, "test")
+    wo, pl, _ = tensor_module._conv_geometry(w, kw, stride, padding, "test")
+    dcols = _order_sensitive(np.random.default_rng(seed), (n * ho * wo, kh * kw * c), dtype)
+    args = (dcols, n, ho, wo, kh, kw, stride, pt, pl, (n, h, w, c))
+    _assert_same_bits(tensor_module._col2im(*args), col2im_reference(*args))
+
+
+def test_desk_autoencoder_matches_tap_by_tap_scatter(monkeypatch):
+    # encoder 32 -> 16 -> 8 -> 4 and decoder back, 3x3 stride 2: a float32
+    # image batch through float64 parameters, as after a first SGD step
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0, 1, size=(4, 32, 32, 3)).astype(np.float32)
+    widths = [3, 32, 64, 128]
+    shapes = [(3, 3, a, b) for a, b in zip(widths, widths[1:])]
+    shapes += [(3, 3, a, b) for a, b in reversed(list(zip(widths, widths[1:])))]
+    arrays = [rng.normal(scale=0.2, size=s) for s in shapes]
+    arrays += [rng.normal(scale=0.1, size=s[-1] if i < 3 else s[-2])
+               for i, s in enumerate(shapes)]
+
+    def run():
+        xt = Tensor(x, requires_grad=True)
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        h = xt
+        for i in range(3):
+            h = conv2d(h, ts[i], stride=2, padding="same", bias=ts[6 + i], relu=True)
+        for i in range(3, 6):
+            h = conv2d_transpose(h, ts[i], stride=2, padding="same", bias=ts[6 + i],
+                                 relu=i < 5)
+        assert h.shape == x.shape
+        (h * h).mean().backward()
+        return [h.data, xt.grad] + [t.grad for t in ts]
+
+    got = run()
+    monkeypatch.setattr(tensor_module, "_col2im", col2im_reference)
+    want = run()
+    for g, w in zip(got, want):
+        _assert_same_bits(g, w)
 
 
 @pytest.mark.parametrize("overflow_in", ["kernel", "bias"])
