@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Guided-vs-random comparison over several seeds.
 
-Runs the full pipeline for both batching modes per seed, then prints
-mean accuracies per tap point plus fine-tuning, the signed deltas, and
-the full-scale reference deltas for context.
+Runs the full pipeline for both batching modes per seed, then prints the
+`report` table over every seed's results: mean accuracies per tap point
+plus fine-tuning, the signed deltas, and the full-scale reference deltas
+for context.
 
     python scripts/run_comparison.py --config configs/desk.ini \
         --run-root runs/desk --seeds 0,1,2
@@ -12,11 +13,8 @@ the full-scale reference deltas for context.
 import argparse
 import sys
 
-import numpy as np
-
 from gcontrast.config import load_config
-from gcontrast.evaluate import FULL_SCALE_REFERENCE
-from gcontrast.pipeline import run_mode_comparison
+from gcontrast.pipeline import render_report, run_mode_comparison
 
 
 def main(argv=None):
@@ -30,27 +28,9 @@ def main(argv=None):
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     config = load_config(args.config)
     table = run_mode_comparison(config, args.run_root, seeds, force=args.force)
-
-    evals = ("P1", "P2", "P3", "finetune")
+    _, text, _ = render_report(table)
     print(f"\nmean validation accuracy over seeds {seeds}")
-    print("method            " + "".join(f"{e:>10}" for e in evals))
-    for method in ("guided", "random-baseline"):
-        if method not in table:
-            continue
-        cells = [f"{np.mean(table[method][e]):10.2f}" if e in table[method] else f"{'-':>10}"
-                 for e in evals]
-        print(f"{method:<18}" + "".join(cells))
-
-    if "guided" in table and "random-baseline" in table:
-        print("\nguided minus random-baseline (this run):")
-        for e in evals:
-            if e in table["guided"] and e in table["random-baseline"]:
-                delta = np.mean(table["guided"][e]) - np.mean(table["random-baseline"][e])
-                print(f"  {e}: {delta:+.2f}")
-        ref = FULL_SCALE_REFERENCE["cifar10"]
-        print("full-scale reference deltas (cifar10):")
-        for e in evals:
-            print(f"  {e}: {ref['guided'][e] - ref['random-baseline'][e]:+.2f}")
+    print(text)
     return 0
 
 

@@ -1,9 +1,10 @@
 """Run-directory artifacts: checkpoints, CSV tables, JSONL streams.
 
 Every artifact embeds the config fingerprint so downstream stages can
-refuse stale inputs. CSV files carry it as a leading comment line;
-JSON-based files carry it as a field. Nothing here writes timestamps:
-identical runs must produce byte-identical files. Files are written to a
+refuse stale inputs. CSV files carry it as a leading comment line,
+JSONL files in their first record and JSON files as a field;
+`stored_hash` reads it back from any of them. Nothing here writes
+timestamps: identical runs must produce byte-identical files. Files are written to a
 temporary sibling and renamed into place, so none is ever left truncated.
 """
 
@@ -18,7 +19,7 @@ from .data import ImageDataset
 
 
 class MissingArtifactError(FileNotFoundError):
-    """A required upstream artifact is absent; names the producing command."""
+    """A required upstream artifact is absent or stale; names the producing command."""
 
 
 def sha256_hex(payload: bytes) -> str:
@@ -47,6 +48,33 @@ def require(path, producer):
     return path
 
 
+def require_current(path, stored, config_hash, producer):
+    """Refuse an upstream artifact written under another config."""
+    if stored != config_hash:
+        raise MissingArtifactError(
+            f"stale artifact {path} (config hash {stored}, expected {config_hash}); "
+            f"run `{producer}` first")
+
+
+_HASH_COMMENT = "# config_hash="
+
+
+def stored_hash(path):
+    """The config hash `path` was written under, None if absent or unreadable.
+
+    A CSV or JSONL file is read only up to its first newline.
+    """
+    try:
+        with open(path, "rb") as fh:
+            first = (fh.read() if path.endswith(".json") else fh.readline()).decode()
+        if path.endswith(".csv"):
+            return first[len(_HASH_COMMENT):].strip() if first.startswith(_HASH_COMMENT) else None
+        record = json.loads(first)
+    except (OSError, ValueError):   # missing, undecodable or not JSON
+        return None
+    return record.get("config_hash") if isinstance(record, dict) else None
+
+
 @contextlib.contextmanager
 def _atomic_open(path, mode="w"):
     tmp = path + ".tmp"
@@ -68,9 +96,12 @@ def save_checkpoint(stem, manifest: dict, params):
     with _atomic_open(stem + ".bin", "wb") as fh:
         for buf in buffers:
             fh.write(buf.tobytes())
-    with _atomic_open(stem + ".json") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(stem + ".json", manifest)
+
+
+def write_json(path, record):
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(record, sort_keys=True, indent=1) + "\n")
 
 
 def load_checkpoint(stem):
@@ -91,7 +122,7 @@ def load_checkpoint(stem):
 
 def write_csv(path, header, rows, config_hash):
     with _atomic_open(path) as fh:
-        fh.write(f"# config_hash={config_hash}\n")
+        fh.write(f"{_HASH_COMMENT}{config_hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
@@ -120,36 +151,39 @@ def write_latents_csv(path, latents, config_hash):
     header = "index," + ",".join(f"dim{i}" for i in range(d))
     row_format = ",".join(["%.9g"] * d) + "\n"
     with _atomic_open(path) as fh:
-        fh.write(f"# config_hash={config_hash}\n")
+        fh.write(f"{_HASH_COMMENT}{config_hash}\n")
         fh.write(header + "\n")
         for i, row in enumerate(latents):
             fh.write(f"{i}," + row_format % tuple(row.tolist()))
 
 
 def read_latents_csv(path, producer="train-dae"):
+    """(stored config hash, latents) of a latents CSV."""
     require(path, producer)
-    meta = {}
-    with open(path) as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            key, _, value = first[1:].strip().partition("=")
-            meta[key.strip()] = value.strip()
     data = np.loadtxt(path, delimiter=",", skiprows=2, dtype=np.float32, ndmin=2)
-    return meta, data[:, 1:]
+    return stored_hash(path), data[:, 1:]
 
 
 # ---- JSONL ----
 
+def _jsonl_lines(records):
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
 def append_jsonl(path, records):
-    with open(path, "a") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    # the old bytes plus the new lines replace the file whole, so an
+    # interrupted append never leaves a torn last line
+    old = b""
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            old = fh.read()
+    with _atomic_open(path, "wb") as fh:
+        fh.write(old + _jsonl_lines(records).encode())
 
 
 def write_jsonl(path, records):
     with _atomic_open(path) as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.write(_jsonl_lines(records))
 
 
 def read_jsonl(path, producer="(unknown)"):

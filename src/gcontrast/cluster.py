@@ -30,10 +30,6 @@ class PseudoLabelAssignment:
     def n(self):
         return len(self.labels)
 
-    @property
-    def k(self):
-        return len(self.counts)
-
 
 def _sq_distances(Y, y_sq, centroids):
     # ||y||^2 - 2 y.c + ||c||^2 via gemm, with y_sq = (Y * Y).sum(axis=1)

@@ -45,7 +45,6 @@ class EvalReport:
     eval_name: str       # P1 | P2 | P3 | finetune | supervised
     accuracy: float      # validation accuracy, percent
     seed: int
-    config_hash: str = ""
 
     def __post_init__(self):
         if not 0.0 <= self.accuracy <= 100.0:
@@ -57,14 +56,12 @@ _HEAD_DEPTH = {TapPoint.P1: 2, TapPoint.P2: 1, TapPoint.P3: 0}
 
 
 def tap(encoder, head, points):
-    """Frozen feature extractor reading at the requested tap points.
+    """Frozen feature extractor reading at a sequence of tap points.
 
-    For one TapPoint the extractor returns its feature matrix. For a
-    sequence of them it returns one matrix per point, in order, from a
+    The extractor returns one feature matrix per point, in order, from a
     single backbone pass over each chunk of images.
     """
-    single = isinstance(points, TapPoint)
-    depths = [_HEAD_DEPTH[p] for p in ((points,) if single else points)]
+    depths = [_HEAD_DEPTH[p] for p in points]
     head_layers = head.layers[:max(depths, default=0)]
 
     def extract(images, batch_size=256):
@@ -76,8 +73,7 @@ def tap(encoder, head, points):
                     feats.append(layer(feats[-1]))
                 for out, depth in zip(rows, depths):
                     out.append(feats[depth].data)
-        matrices = tuple(np.concatenate(r, axis=0) for r in rows)
-        return matrices[0] if single else matrices
+        return tuple(np.concatenate(r, axis=0) for r in rows)
 
     return extract
 
@@ -143,15 +139,12 @@ def fit_softmax_classifier(forward, params, train_inputs, train_labels,
 def linear_probe(features, train_ds: ImageDataset, val_ds: ImageDataset,
                  epochs=50, patience=5, seed=0, method="guided",
                  eval_name="P3") -> EvalReport:
-    """Single dense layer on frozen features; the extractor never trains.
-
-    `features` is an extractor mapping images to feature rows, or the
-    (train, val) pair of feature matrices already extracted.
+    """Single dense layer on frozen features: `features` is the (train,
+    val) pair of feature matrices, extracted beforehand, so the encoder
+    never trains.
     """
     _check_labels(train_ds.labels, train_ds.num_classes)
     _check_labels(val_ds.labels, train_ds.num_classes)
-    if callable(features):
-        features = features(train_ds.images), features(val_ds.images)
     train_x, val_x = (f.astype(np.float32) for f in features)
     rng = np.random.default_rng(derive_seed(seed, "probe-init", eval_name))
     clf = Dense(rng, train_x.shape[1], train_ds.num_classes, activation="linear")
@@ -160,6 +153,18 @@ def linear_probe(features, train_ds: ImageDataset, val_ds: ImageDataset,
         train_x, train_ds.labels, val_x, val_ds.labels,
         epochs=epochs, patience=patience, seed=seed)
     return EvalReport(method=method, eval_name=eval_name, accuracy=accuracy, seed=seed)
+
+
+def _train_end_to_end(encoder, feature_dim, train_ds, rows, val_ds, init_tag,
+                      epochs, patience, seed):
+    """Validation accuracy of the encoder plus a fresh linear classifier,
+    trained end to end on `rows` of train_ds at batch size 64."""
+    rng = np.random.default_rng(derive_seed(seed, init_tag))
+    clf = Dense(rng, feature_dim, train_ds.num_classes, activation="linear")
+    return fit_softmax_classifier(
+        lambda xb: clf(encoder(Tensor(xb))), encoder.params() + clf.params(),
+        train_ds.images[rows], train_ds.labels[rows], val_ds.images, val_ds.labels,
+        epochs=epochs, patience=patience, batch_size=64, seed=seed)
 
 
 def fine_tune_10pct(encoder, feature_dim, train_ds: ImageDataset, val_ds: ImageDataset,
@@ -172,15 +177,8 @@ def fine_tune_10pct(encoder, feature_dim, train_ds: ImageDataset, val_ds: ImageD
     """
     _check_labels(train_ds.labels, train_ds.num_classes)
     chosen = stratified_indices(train_ds.labels, fraction, derive_seed(seed, "finetune-subset"))
-    sub_x = train_ds.images[chosen]
-    sub_y = train_ds.labels[chosen]
-    rng = np.random.default_rng(derive_seed(seed, "finetune-init"))
-    clf = Dense(rng, feature_dim, train_ds.num_classes, activation="linear")
-    params = encoder.params() + clf.params()
-    accuracy = fit_softmax_classifier(
-        lambda xb: clf(encoder(Tensor(xb))), params,
-        sub_x, sub_y, val_ds.images, val_ds.labels,
-        epochs=epochs, patience=patience, batch_size=64, seed=seed)
+    accuracy = _train_end_to_end(encoder, feature_dim, train_ds, chosen, val_ds,
+                                 "finetune-init", epochs, patience, seed)
     return EvalReport(method=method, eval_name="finetune", accuracy=accuracy, seed=seed)
 
 
@@ -189,12 +187,7 @@ def supervised_reference(encoder, feature_dim, train_ds: ImageDataset,
                          seed=0) -> EvalReport:
     """Ceiling reference: the same encoder trained fully supervised."""
     _check_labels(train_ds.labels, train_ds.num_classes)
-    rng = np.random.default_rng(derive_seed(seed, "supervised-init"))
-    clf = Dense(rng, feature_dim, train_ds.num_classes, activation="linear")
-    params = encoder.params() + clf.params()
-    accuracy = fit_softmax_classifier(
-        lambda xb: clf(encoder(Tensor(xb))), params,
-        train_ds.images, train_ds.labels, val_ds.images, val_ds.labels,
-        epochs=epochs, patience=patience, batch_size=64, seed=seed)
+    accuracy = _train_end_to_end(encoder, feature_dim, train_ds, slice(None), val_ds,
+                                 "supervised-init", epochs, patience, seed)
     return EvalReport(method="supervised-reference", eval_name="supervised",
                       accuracy=accuracy, seed=seed)

@@ -8,7 +8,6 @@ configurations yield byte-identical runs.
 """
 
 import copy
-import json
 import os
 import sys
 
@@ -23,8 +22,11 @@ from .artifacts import (
     read_jsonl,
     read_latents_csv,
     require,
+    require_current,
     save_checkpoint,
+    stored_hash,
     write_csv,
+    write_json,
     write_jsonl,
     write_latents_csv,
 )
@@ -80,23 +82,16 @@ class Workspace:
         if self._dataset is None:
             self._dataset = resolve_dataset(self.config)
             self._dataset_hash = dataset_fingerprint(self._dataset)
-            self._write_meta()
+            write_json(self.path("dataset_meta.json"),
+                       {"config_hash": self.config_hash, "dataset_hash": self._dataset_hash,
+                        "source": self._dataset.source, "n": len(self._dataset),
+                        "num_classes": self._dataset.num_classes})
         return self._dataset
 
     @property
     def dataset_hash(self):
         self.dataset
         return self._dataset_hash
-
-    def _write_meta(self):
-        meta = {"config_hash": self.config_hash, "dataset_hash": self._dataset_hash,
-                "source": self._dataset.source, "n": len(self._dataset),
-                "num_classes": self._dataset.num_classes}
-        path = self.path("dataset_meta.json")
-        payload = json.dumps(meta, sort_keys=True, indent=1) + "\n"
-        if not os.path.exists(path) or open(path).read() != payload:
-            with open(path, "w") as fh:
-                fh.write(payload)
 
     def eval_split(self):
         return train_val_split(self.dataset, self.config.eval.val_fraction,
@@ -138,33 +133,7 @@ def _exact_stratified_subset(labels, size, seed):
 
 def _fresh(ws, paths, force):
     """True when every artifact exists and carries the current config hash."""
-    if force:
-        return False
-    for path in paths:
-        if not os.path.exists(path):
-            return False
-        stored = _stored_hash(path)
-        if stored is not None and stored != ws.config_hash:
-            return False
-    return True
-
-
-def _stored_hash(path):
-    if path.endswith(".bin"):
-        return None
-    with open(path) as fh:
-        first = fh.readline().strip()
-    if first.startswith("# config_hash="):
-        return first.split("=", 1)[1]
-    try:
-        if path.endswith(".jsonl"):
-            return json.loads(first).get("config_hash")
-        if path.endswith(".json"):
-            with open(path) as fh:
-                return json.load(fh).get("config_hash")
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        pass
-    return None
+    return not force and all(stored_hash(path) == ws.config_hash for path in paths)
 
 
 # ---- stages ----
@@ -206,8 +175,8 @@ def stage_cluster(ws: Workspace, force=False):
     if _fresh(ws, outputs, force):
         log("cluster: up to date, skipping (use --force to redo)")
         return
-    require(ws.path("latents.csv"), producer="train-dae")
-    _, latents = read_latents_csv(ws.path("latents.csv"))
+    stored, latents = read_latents_csv(ws.path("latents.csv"))
+    require_current(ws.path("latents.csv"), stored, ws.config_hash, producer="train-dae")
     cfg = ws.config
     model = kmeans_fit(latents, k=cfg.cluster.k, seed=derive_seed(cfg.seed, "cluster"),
                        max_iter=cfg.cluster.max_iter, tol=cfg.cluster.tol)
@@ -225,10 +194,11 @@ def stage_cluster(ws: Workspace, force=False):
 
 
 def _load_assignment(ws) -> PseudoLabelAssignment:
-    require(ws.path("pseudo_labels.csv"), producer="cluster")
-    _, _, rows = read_csv(ws.path("pseudo_labels.csv"), producer="cluster")
+    path = ws.path("pseudo_labels.csv")
+    meta, _, rows = read_csv(path, producer="cluster")
+    require_current(path, meta.get("config_hash"), ws.config_hash, producer="cluster")
     labels = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    k = ws.config.cluster.k
+    k = ws.config.cluster.k  # the k the labels came from: their hash is this config's
     return PseudoLabelAssignment(labels=labels, counts=np.bincount(labels, minlength=k))
 
 
@@ -301,6 +271,9 @@ def stage_train_contrastive(ws: Workspace, mode, force=False):
 def _load_contrastive(ws, mode):
     enc_manifest, enc_arrays = load_checkpoint(ws.path(f"contrastive_{mode}_encoder"))
     head_manifest, head_arrays = load_checkpoint(ws.path(f"contrastive_{mode}_head"))
+    for part, manifest in (("encoder", enc_manifest), ("head", head_manifest)):
+        require_current(ws.path(f"contrastive_{mode}_{part}.json"), manifest.get("config_hash"),
+                        ws.config_hash, producer=f"train-contrastive --mode {mode}")
     spec = EncoderSpec(blocks=tuple(tuple(b) for b in enc_manifest["blocks"]),
                        channels=enc_manifest["channels"])
     encoder = build_encoder(spec, 0)
@@ -318,27 +291,29 @@ def _existing_reports(ws):
     return read_jsonl(path)
 
 
+def _recorded(ws, force):
+    """(method, eval_name) pairs results.jsonl holds under this config;
+    none under --force, which redoes them."""
+    if force:
+        return set()
+    return {(r["method"], r["eval_name"]) for r in _existing_reports(ws)
+            if r["config_hash"] == ws.config_hash}
+
+
 def _append_reports(ws, reports, force):
-    path = ws.path("results.jsonl")
-    existing = _existing_reports(ws)
-    keys = {(r["method"], r["eval_name"], r["config_hash"]) for r in existing}
-    fresh = []
-    for report in reports:
-        record = {"method": report.method, "eval_name": report.eval_name,
-                  "accuracy": report.accuracy, "seed": report.seed,
-                  "config_hash": ws.config_hash, "dataset_hash": ws.dataset_hash}
-        key = (record["method"], record["eval_name"], record["config_hash"])
-        if key in keys:
-            if not force:
-                log(f"eval {key[0]}/{key[1]}: already recorded, skipping (use --force to redo)")
-                continue
-            existing = [r for r in existing
-                        if (r["method"], r["eval_name"], r["config_hash"]) != key]
-            write_jsonl(path, existing)
-        fresh.append(record)
-    if fresh:
-        append_jsonl(path, fresh)
-    return fresh
+    records = [{"method": report.method, "eval_name": report.eval_name,
+                "accuracy": report.accuracy, "seed": report.seed,
+                "config_hash": ws.config_hash, "dataset_hash": ws.dataset_hash}
+               for report in reports]
+    # --force replaces what this config already recorded for these evals
+    existing = _existing_reports(ws) if force else []
+    replaced = {(r["method"], r["eval_name"], r["config_hash"]) for r in records}
+    kept = [r for r in existing if (r["method"], r["eval_name"], r["config_hash"]) not in replaced]
+    if len(kept) < len(existing):
+        write_jsonl(ws.path("results.jsonl"), kept + records)
+    else:
+        append_jsonl(ws.path("results.jsonl"), records)
+    return records
 
 
 def stage_probe(ws: Workspace, mode, force=False, supervised=False):
@@ -346,11 +321,9 @@ def stage_probe(ws: Workspace, mode, force=False, supervised=False):
             producer=f"train-contrastive --mode {mode}")
     cfg = ws.config
     method = _method_tag(mode)
-    existing = {(r["method"], r["eval_name"]) for r in _existing_reports(ws)
-                if r["config_hash"] == ws.config_hash}
-    to_run = [p for p in cfg.eval.tap_points if force or (method, p) not in existing]
-    run_supervised = supervised and (
-        force or ("supervised-reference", "supervised") not in existing)
+    recorded = _recorded(ws, force)
+    to_run = [p for p in cfg.eval.tap_points if (method, p) not in recorded]
+    run_supervised = supervised and ("supervised-reference", "supervised") not in recorded
     if not to_run and not run_supervised:
         log(f"probe[{mode}]: up to date, skipping (use --force to redo)")
         return []
@@ -382,9 +355,7 @@ def stage_finetune(ws: Workspace, mode, force=False):
     require(ws.path(f"contrastive_{mode}_encoder.json"),
             producer=f"train-contrastive --mode {mode}")
     method = _method_tag(mode)
-    existing = {(r["method"], r["eval_name"]) for r in _existing_reports(ws)
-                if r["config_hash"] == ws.config_hash}
-    if not force and (method, "finetune") in existing:
+    if (method, "finetune") in _recorded(ws, force):
         log(f"finetune[{mode}]: up to date, skipping (use --force to redo)")
         return []
     encoder, _, spec = _load_contrastive(ws, mode)
@@ -411,23 +382,60 @@ def stage_pipeline(ws: Workspace, mode, force=False):
 def run_mode_comparison(config: RunConfig, run_root, seeds, force=False):
     """Full guided and random pipelines for each seed.
 
-    Returns {method: {eval_name: [accuracy per seed]}}; each seed gets
+    Returns the accuracy_table of every seed's results; each seed gets
     its own run directory under run_root so artifacts stay auditable.
     """
-    table = {}
+    records = []
     for seed in seeds:
         cfg = copy.deepcopy(config)
         cfg.seed = seed
         ws = Workspace(cfg, os.path.join(run_root, f"seed{seed}"))
         for mode in ("guided", "random"):
             stage_pipeline(ws, mode, force=force)
-        for record in _existing_reports(ws):
-            table.setdefault(record["method"], {}).setdefault(
-                record["eval_name"], []).append(record["accuracy"])
-    return table
+        records += _existing_reports(ws)
+    return accuracy_table(records)
 
 
 EVAL_COLUMNS = ("P1", "P2", "P3", "finetune", "supervised")
+COMPARED = ("P1", "P2", "P3", "finetune")
+
+
+def accuracy_table(records):
+    """{method: {eval_name: [accuracy per record]}} over result records."""
+    table = {}
+    for r in records:
+        table.setdefault(r["method"], {}).setdefault(r["eval_name"], []).append(r["accuracy"])
+    return table
+
+
+def _signed(deltas):
+    return "  ".join(f"{c}: {v:+.2f}" for c, v in deltas.items())
+
+
+def render_report(table, reference_key="cifar10"):
+    """(rows, text, deltas) of an accuracy_table.
+
+    Rows hold the mean accuracy per method and eval, header first. The
+    text adds the guided-minus-random deltas and, for context, those of
+    the full-scale reference runs.
+    """
+    rows = [["method", *EVAL_COLUMNS]]
+    for method in ("guided", "random-baseline", "supervised-reference"):
+        if method in table:
+            rows.append([method] + [f"{np.mean(table[method][col]):.2f}"
+                                    if table[method].get(col) else "-" for col in EVAL_COLUMNS])
+    lines = ["\t".join(row) for row in rows]
+    guided, baseline = table.get("guided", {}), table.get("random-baseline", {})
+    deltas = {c: float(np.mean(guided[c]) - np.mean(baseline[c]))
+              for c in COMPARED if guided.get(c) and baseline.get(c)}
+    if deltas:
+        lines += ["", "guided minus random-baseline (this run): " + _signed(deltas)]
+        ref = FULL_SCALE_REFERENCE.get(reference_key, {})
+        if "guided" in ref:
+            lines.append(f"guided minus baseline (full-scale reference, {reference_key}): "
+                         + _signed({c: ref["guided"][c] - ref["random-baseline"][c]
+                                    for c in COMPARED}))
+    return rows, "\n".join(lines), deltas
 
 
 def stage_report(ws: Workspace, reference_key="cifar10"):
@@ -437,40 +445,8 @@ def stage_report(ws: Workspace, reference_key="cifar10"):
     if len(hashes) > 1:
         raise ValueError(f"results.jsonl mixes dataset hashes {sorted(hashes)}; "
                          "refusing to compare")
-    table = {}
-    for r in records:
-        table.setdefault(r["method"], {}).setdefault(r["eval_name"], []).append(r["accuracy"])
-    rows = []
-    for method in ("guided", "random-baseline", "supervised-reference"):
-        if method not in table:
-            continue
-        cells = [method]
-        for col in EVAL_COLUMNS:
-            values = table[method].get(col)
-            cells.append(f"{np.mean(values):.2f}" if values else "-")
-        rows.append(cells)
-    header = ["method"] + list(EVAL_COLUMNS)
-    write_csv(ws.path("report_table.csv"), header, rows, ws.config_hash)
-
-    lines = ["\t".join(header)] + ["\t".join(r) for r in rows]
-    deltas = {}
-    if "guided" in table and "random-baseline" in table:
-        for col in ("P1", "P2", "P3", "finetune"):
-            g, b = table["guided"].get(col), table["random-baseline"].get(col)
-            if g and b:
-                deltas[col] = float(np.mean(g) - np.mean(b))
-        if deltas:
-            lines.append("")
-            lines.append("guided minus random-baseline (this run): "
-                         + "  ".join(f"{c}: {v:+.2f}" for c, v in deltas.items()))
-            ref = FULL_SCALE_REFERENCE.get(reference_key, {})
-            if "guided" in ref:
-                ref_delta = {c: ref["guided"][c] - ref["random-baseline"][c]
-                             for c in ("P1", "P2", "P3", "finetune")}
-                lines.append("guided minus baseline (full-scale reference, "
-                             f"{reference_key}): "
-                             + "  ".join(f"{c}: {v:+.2f}" for c, v in ref_delta.items()))
-    text = "\n".join(lines)
+    rows, text, deltas = render_report(accuracy_table(records), reference_key)
+    write_csv(ws.path("report_table.csv"), rows[0], rows[1:], ws.config_hash)
     print(text)
 
     loss_rows = []

@@ -79,10 +79,6 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -107,26 +103,11 @@ class Tensor:
         return _binary("sub", self, other, lambda a, b: a - b,
                        lambda g, a, b: g, lambda g, a, b: -g)
 
-    def __rsub__(self, other):
-        return _binary("sub", _const(other), self, lambda a, b: a - b,
-                       lambda g, a, b: g, lambda g, a, b: -g)
-
     def __mul__(self, other):
         return _binary("mul", self, other, lambda a, b: a * b,
                        lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return _binary("div", self, other, lambda a, b: a / b,
-                       lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
-
-    def __rtruediv__(self, other):
-        return _binary("div", _const(other), self, lambda a, b: a / b,
-                       lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
-
-    def __neg__(self):
-        return self * -1.0
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -138,25 +119,7 @@ class Tensor:
         out = np.maximum(x, 0.0)
         return _node("relu", out, (self,), lambda g: (g * (x > 0.0),))
 
-    def exp(self):
-        with np.errstate(over="ignore"):
-            out = np.exp(self.data)
-        return _node("exp", out, (self,), lambda g: (g * out,))
-
-    def log(self):
-        x = self.data
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.log(x)
-        return _node("log", out, (self,), lambda g: (g / x,))
-
     # ---- structure ----
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        old = self.data.shape
-        out = self.data.reshape(shape)
-        return _node("reshape", out, (self,), lambda g: (g.reshape(old),))
 
     def transpose(self, axes=None):
         ax = tuple(axes) if axes is not None else tuple(reversed(range(self.ndim)))
@@ -299,20 +262,10 @@ def _record(data, parents, backward):
     return out
 
 
-def _const(value):
-    t = Tensor.__new__(Tensor)
-    t.data = _as_array(value)
-    t.requires_grad = False
-    t.grad = None
-    t._parents = ()
-    t._backward = None
-    return t
-
-
 def _binary(op, a, b, fwd, da, db):
-    at = a if isinstance(a, Tensor) else _const(a)
-    bt = b if isinstance(b, Tensor) else _const(b)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    at = a if isinstance(a, Tensor) else Tensor(a)
+    bt = b if isinstance(b, Tensor) else Tensor(b)
+    with np.errstate(invalid="ignore", over="ignore"):
         out = fwd(at.data, bt.data)
     ad, bd = at.data, bt.data
 

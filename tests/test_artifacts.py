@@ -1,4 +1,7 @@
-"""Artifact writers: an interrupted write leaves nothing under the final name."""
+"""Artifact writers: an interrupted write leaves nothing under the final name.
+
+Also the reader of the config hash every artifact carries.
+"""
 
 import numpy as np
 import pytest
@@ -19,6 +22,9 @@ class _DiskFullAfter:
         self.budget -= len(data)
         return self.fh.write(data)
 
+    def read(self):
+        return self.fh.read()
+
     def __enter__(self):
         return self
 
@@ -35,17 +41,67 @@ WRITERS = {
         str(d / "latents.csv"), np.ones((16, 8), dtype=np.float32), "abc"),
     "write_jsonl": lambda d: artifacts.write_jsonl(
         str(d / "t.jsonl"), [{"i": i} for i in range(64)]),
+    "write_json": lambda d: artifacts.write_json(
+        str(d / "t.json"), {f"key{i}": i for i in range(64)}),
 }
+
+
+def _disk_full_after(monkeypatch, budget):
+    monkeypatch.setattr(artifacts, "open",
+                        lambda path, mode="r": _DiskFullAfter(open(path, mode), budget),
+                        raising=False)
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_interrupted_write_leaves_no_file(writer, tmp_path, monkeypatch):
-    monkeypatch.setattr(artifacts, "open",
-                        lambda path, mode="r": _DiskFullAfter(open(path, mode), 100),
-                        raising=False)
+    _disk_full_after(monkeypatch, 100)
     with pytest.raises(OSError, match="no space"):
         WRITERS[writer](tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_append_keeps_earlier_records(tmp_path, monkeypatch):
+    path = str(tmp_path / "results.jsonl")
+    artifacts.append_jsonl(path, [{"i": i} for i in range(3)])
+    artifacts.append_jsonl(path, [{"i": 3}])
+    before = (tmp_path / "results.jsonl").read_bytes()
+    _disk_full_after(monkeypatch, 100)
+    with pytest.raises(OSError, match="no space"):
+        artifacts.append_jsonl(path, [{"i": i} for i in range(4, 64)])
+    assert (tmp_path / "results.jsonl").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
+
+
+def test_stored_hash_reads_every_artifact_format(tmp_path):
+    artifacts.write_csv(str(tmp_path / "t.csv"), ["a"], [(1,)], "c5v")
+    artifacts.write_latents_csv(str(tmp_path / "latents.csv"), np.ones((2, 3)), "1at")
+    artifacts.write_jsonl(str(tmp_path / "t.jsonl"), [{"config_hash": "j51"}, {"x": 1}])
+    artifacts.save_checkpoint(str(tmp_path / "ckpt"), {"config_hash": "j50"}, [np.ones(2)])
+    got = {name: artifacts.stored_hash(str(tmp_path / name))
+           for name in ("t.csv", "latents.csv", "t.jsonl", "ckpt.json")}
+    assert got == {"t.csv": "c5v", "latents.csv": "1at", "t.jsonl": "j51", "ckpt.json": "j50"}
+
+
+def test_stored_hash_reads_only_the_first_line(tmp_path):
+    # whatever follows the first newline is never decoded
+    (tmp_path / "t.csv").write_bytes(b"# config_hash=abc\n\xff\xfe not text")
+    (tmp_path / "t.jsonl").write_bytes(b'{"config_hash": "abc"}\n{torn')
+    assert artifacts.stored_hash(str(tmp_path / "t.csv")) == "abc"
+    assert artifacts.stored_hash(str(tmp_path / "t.jsonl")) == "abc"
+
+
+@pytest.mark.parametrize("name,content", [
+    ("missing.csv", None),
+    ("t.csv", b"a,b\n1,2\n"),                  # no hash comment
+    ("t.csv", b"\xff\xfe\n"),                  # not text
+    ("t.jsonl", b'{"torn'),
+    ("t.jsonl", b'{"epoch": 1}\n'),             # first record without the field
+    ("t.json", b'["config_hash"]\n'),
+])
+def test_stored_hash_is_none_when_missing_or_unreadable(tmp_path, name, content):
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
+    assert artifacts.stored_hash(str(tmp_path / name)) is None
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))

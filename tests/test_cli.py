@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcontrast import contrastive
+from gcontrast import contrastive, pipeline
 from gcontrast.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -85,6 +85,58 @@ def test_changed_seed_invalidates_cache(pipeline_dir, capsys):
                "--seed", "123") == 0
     err = capsys.readouterr().err
     assert "skipping" not in err
+
+
+def _tiny_with(tmp_path, old, new):
+    text = Path(TINY).read_text()
+    assert old in text
+    path = tmp_path / "changed.ini"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,old,new,producer", [
+    ("cluster", "k = 8", "k = 4", "train-dae"),
+    ("plan", "k = 8", "k = 4", "cluster"),
+    ("train-contrastive", "k = 8", "k = 4", "cluster"),
+    ("probe", "probe_epochs = 10", "probe_epochs = 3", "train-contrastive --mode guided"),
+    ("finetune", "probe_epochs = 10", "probe_epochs = 3", "train-contrastive --mode guided"),
+])
+def test_stale_upstream_artifact_is_refused(pipeline_dir, tmp_path, capsys,
+                                            command, old, new, producer):
+    # the upstream files were written under tiny.ini's hash, not this config's
+    before = {p.name: p.read_bytes() for p in pipeline_dir.iterdir()}
+    capsys.readouterr()
+    rc = run(command, "--config", _tiny_with(tmp_path, old, new),
+             "--run-dir", str(pipeline_dir), "--mode", "guided")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "stale artifact" in err and f"run `{producer}` first" in err
+    assert {p.name: p.read_bytes() for p in pipeline_dir.iterdir()} == before
+
+
+def test_artifact_without_stored_hash_counts_as_stale(pipeline_dir, capsys):
+    history = pipeline_dir / "dae_history.csv"
+    lines = history.read_text().splitlines(keepends=True)
+    assert lines[0].startswith("# config_hash=")
+    history.write_text("".join(lines[1:]))
+    capsys.readouterr()
+    assert run("train-dae", "--config", TINY, "--run-dir", str(pipeline_dir)) == 0
+    err = capsys.readouterr().err
+    assert "skipping" not in err and "best epoch" in err
+    assert history.read_text() == "".join(lines)
+
+
+def test_forced_probe_rewrites_results_once(pipeline_dir, monkeypatch):
+    rewrites = []
+    write_jsonl = pipeline.write_jsonl
+    monkeypatch.setattr(pipeline, "write_jsonl",
+                        lambda path, records: rewrites.append(path) or write_jsonl(path, records))
+    assert run("probe", "--config", TINY, "--run-dir", str(pipeline_dir), "--force") == 0
+    path = pipeline_dir / "results.jsonl"
+    assert rewrites == [str(path)]
+    evals = [json.loads(line)["eval_name"] for line in path.read_text().splitlines()]
+    assert evals == ["finetune", "P1", "P2", "P3"]
 
 
 def test_degenerate_guided_plan_warns(tmp_path, capsys):

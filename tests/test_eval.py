@@ -34,15 +34,16 @@ def small_model(seed=0):
 def test_tap_point_dimensions():
     encoder, head = small_model()
     images = make_synthetic(classes=2, per_class=3, image_size=8, seed=0).images
-    assert tap(encoder, head, TapPoint.P3)(images).shape == (6, 16)
-    assert tap(encoder, head, TapPoint.P2)(images).shape == (6, 16)  # w1
-    assert tap(encoder, head, TapPoint.P1)(images).shape == (6, 12)  # w2
+    p3, p2, p1 = tap(encoder, head, [TapPoint.P3, TapPoint.P2, TapPoint.P1])(images)
+    assert p3.shape == (6, 16)
+    assert p2.shape == (6, 16)  # w1
+    assert p1.shape == (6, 12)  # w2
 
 
 def test_tap_p1_equals_manual_composition():
     encoder, head = small_model(seed=3)
     images = make_synthetic(classes=2, per_class=2, image_size=8, seed=1).images
-    got = tap(encoder, head, TapPoint.P1)(images)
+    (got,) = tap(encoder, head, [TapPoint.P1])(images)
     with no_grad():
         manual = head.layers[1](head.layers[0](encoder(Tensor(images))))
     np.testing.assert_allclose(got, manual.data, atol=1e-7)
@@ -56,20 +57,9 @@ def test_tap_of_several_points_matches_one_point_at_a_time():
     together = tap(encoder, head, points)(images)
     assert len(together) == len(points)
     for point, features in zip(points, together):
-        alone = tap(encoder, head, point)(images)
+        (alone,) = tap(encoder, head, [point])(images)
         assert features.dtype == alone.dtype
         assert np.array_equal(features, alone)
-
-
-def test_linear_probe_on_extracted_features_matches_extractor():
-    encoder, head = small_model(seed=5)
-    ds = make_synthetic(classes=3, per_class=10, image_size=8, seed=2)
-    train, val = train_val_split(ds, 0.2, seed=0)
-    extractor = tap(encoder, head, TapPoint.P2)
-    from_extractor = linear_probe(extractor, train, val, epochs=3, seed=0)
-    from_features = linear_probe((extractor(train.images), extractor(val.images)),
-                                 train, val, epochs=3, seed=0)
-    assert from_features == from_extractor
 
 
 def test_softmax_cross_entropy_gradient():
@@ -93,8 +83,8 @@ def test_linear_probe_separable_features_reach_100():
     ds = ImageDataset(images=images, labels=labels, source="synthetic", num_classes=2)
     train, val = train_val_split(ds, 0.25, seed=0)
     # centered, scaled features: the classes sit at +-margin around zero
-    extractor = lambda imgs: (imgs.reshape(len(imgs), -1) - 0.5) * 10.0
-    report = linear_probe(extractor, train, val, seed=0, method="guided", eval_name="P3")
+    features = [(d.images.reshape(len(d), -1) - 0.5) * 10.0 for d in (train, val)]
+    report = linear_probe(features, train, val, seed=0, method="guided", eval_name="P3")
     assert report.accuracy == 100.0
 
 
@@ -104,8 +94,8 @@ def test_linear_probe_random_labels_near_chance():
     labels = rng.integers(0, 10, size=400)
     ds = ImageDataset(images=images, labels=labels, source="synthetic", num_classes=10)
     train, val = train_val_split(ds, 0.3, seed=1)
-    extractor = lambda imgs: imgs.reshape(len(imgs), -1)
-    report = linear_probe(extractor, train, val, epochs=20, seed=0,
+    features = [d.images.reshape(len(d), -1) for d in (train, val)]
+    report = linear_probe(features, train, val, epochs=20, seed=0,
                           method="random-baseline", eval_name="P3")
     assert report.accuracy < 30.0  # chance is 10%; generous binomial slack
 
@@ -115,7 +105,9 @@ def test_linear_probe_leaves_weights_untouched():
     ds = make_synthetic(classes=3, per_class=10, image_size=8, seed=2)
     train, val = train_val_split(ds, 0.2, seed=0)
     before = export_parameters(encoder) + export_parameters(head)
-    linear_probe(tap(encoder, head, TapPoint.P1), train, val, epochs=3, seed=0)
+    extract = tap(encoder, head, [TapPoint.P1])
+    (train_x,), (val_x,) = extract(train.images), extract(val.images)
+    linear_probe((train_x, val_x), train, val, epochs=3, seed=0)
     after = export_parameters(encoder) + export_parameters(head)
     for a, b in zip(before, after):
         assert np.array_equal(a, b)

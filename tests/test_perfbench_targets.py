@@ -1,22 +1,51 @@
-"""Every name the benchmark tracer patches must stay bound in gcontrast.
+"""Every name the benchmark tracer patches must stay bound in gcontrast,
+and the pipeline must still call the names it times.
 
 perfbench/tracing.py swaps module and class attributes with
 getattr/setattr; a refactor that unbinds one would otherwise fail only
-when the benchmark runs.
+when the benchmark runs, and one that leaves a name bound but no longer
+calls it through that binding would silently zero its metric.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from gcontrast import pipeline
+from gcontrast.config import load_config
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def test_every_trace_target_resolves():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_trace_target_resolves():
+    tracing = _tracing()
     targets = tracing.trace_targets()
     assert targets
     unbound = [f"{getattr(t.owner, '__name__', t.owner)}.{t.attr}"
                for t in targets if not hasattr(t.owner, t.attr)]
     assert unbound == []
+
+
+def test_mode_comparison_calls_every_probe_and_pipeline_target(tmp_path):
+    tracing = _tracing()
+    targets = tracing.probe_targets() + [t for t in tracing.trace_targets()
+                                         if t.owner is pipeline]
+    # one span per patched binding, so each binding's calls are told apart
+    unique = {}
+    for t in targets:
+        name = f"{t.owner.__name__}.{t.attr}"
+        unique.setdefault(name, dataclasses.replace(t, span=name))
+    tracer = tracing.Tracer()
+    with tracer.installed(list(unique.values())):
+        pipeline.run_mode_comparison(load_config(ROOT / "configs" / "tiny.ini"),
+                                     str(tmp_path), [0])
+    called = tracer.totals()
+    assert sorted(name for name in unique if name not in called) == []
