@@ -34,8 +34,15 @@ def config_fingerprint(config_dict) -> str:
 
 
 def dataset_fingerprint(dataset: ImageDataset) -> str:
+    """Hash of the images' C-order bytes, labels and source.
+
+    The images go in chunks of rows: a view of a C-contiguous array, a
+    small copy of a strided one, never a dataset-sized copy.
+    """
     digest = hashlib.sha256()
-    digest.update(dataset.images.tobytes())
+    images = dataset.images
+    for start in range(0, len(images), 256):
+        digest.update(np.ascontiguousarray(images[start:start + 256]))
     digest.update(dataset.labels.tobytes())
     digest.update(f"{dataset.source}|{dataset.num_classes}".encode())
     return digest.hexdigest()[:16]

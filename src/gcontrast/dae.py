@@ -158,10 +158,9 @@ def train_dae(model: Autoencoder, dataset: ImageDataset, sigma=0.01, max_epochs=
 
 def extract_latents(model: Autoencoder, dataset: ImageDataset, batch_size=256):
     """Encoder outputs for every clean image, flattened row-major (n, d)."""
-    rows = []
+    latents = np.empty((len(dataset), model.spec.latent_dim), dtype=np.float32)
     with no_grad():
         for start in range(0, len(dataset), batch_size):
-            x = Tensor(dataset.images[start:start + batch_size])
-            z = model.encode(x)
-            rows.append(z.data.reshape(len(z.data), -1))
-    return np.concatenate(rows, axis=0).astype(np.float32)
+            x = dataset.images[start:start + batch_size]
+            latents[start:start + len(x)] = model.encode(Tensor(x)).data.reshape(len(x), -1)
+    return latents

@@ -5,6 +5,11 @@ its parents, and a closure that routes the upstream gradient to them.
 Values are never mutated in place; optimizers rebind ``.data`` to fresh
 arrays, so anything already on a tape stays valid.
 
+Backward consumes the graph, once: each op node frees its saved arrays
+as soon as its gradient is passed on, so a step holds one tape at a
+time. Leaves keep their ``.grad``; a second backward through a consumed
+node raises.
+
 Forward ops are pure and deterministic. Every op validates that its
 output is finite; NaN/Inf anywhere is treated as an error state, not a
 value to propagate.
@@ -185,20 +190,31 @@ class Tensor:
     # ---- autodiff ----
 
     def backward(self):
-        """Populate ``.grad`` on every reachable tensor that requires it."""
+        """Populate ``.grad`` on every reachable leaf that requires it.
+
+        Each op node drops its closure, parents and gradient, and with
+        them its saved arrays, as soon as it has passed its gradient on.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward: loss must be scalar, got shape {self.shape}")
         topo = _toposort(self)
         for t in topo:
             t.grad = None
         self.grad = np.ones_like(self.data)
-        for t in reversed(topo):
-            if t._backward is None or t.grad is None:
+        while topo:
+            t = topo.pop()
+            if t._backward is None:
                 continue
-            contributions = t._backward(t.grad)
-            for parent, contrib in zip(t._parents, contributions):
-                if parent.requires_grad:
-                    _accumulate(parent, contrib)
+            if t.grad is not None:
+                for parent, contrib in zip(t._parents, t._backward(t.grad)):
+                    if parent.requires_grad:
+                        _accumulate(parent, contrib)
+            t.grad, t._parents, t._backward = None, (), _consumed
+
+
+def _consumed(g):
+    raise RuntimeError("backward: graph already consumed by an earlier backward pass; "
+                       "run the forward pass again")
 
 
 def _accumulate(t, g):
@@ -443,9 +459,11 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding="valid", bias=None, relu=Fals
     out = _bias_relu((cols @ wf).reshape(n, ho, wo, f), bias, relu, "conv2d")
 
     def back(g):
+        nonlocal cols
         g, dbias = _bias_relu_back(g, out, bias, relu)
         gf = g.reshape(n * ho * wo, f)
         dw = (cols.T @ gf).reshape(kh, kw, c, f)
+        cols = None  # the last use: free it before dcols is allocated
         dx = None
         if x.requires_grad:
             dx = _col2im(gf @ wf.T, n, ho, wo, kh, kw, stride, pt, pl, x.shape)

@@ -3,10 +3,13 @@
 Also the reader of the config hash every artifact carries.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from gcontrast import artifacts
+from gcontrast.data import load_cifar10, make_synthetic, save_cifar10_binary
 
 
 class _DiskFullAfter:
@@ -128,3 +131,17 @@ def test_latents_csv_matches_elementwise_formatting(tmp_path):
     assert path.read_text() == want
     _, back = artifacts.read_latents_csv(str(path))
     assert np.array_equal(back, latents)
+
+
+def test_dataset_fingerprint_matches_whole_array_bytes_on_both_layouts(tmp_path):
+    # 300 images span two row chunks; the CIFAR reader returns a
+    # channel-planar view, the synthetic maker a C-contiguous array
+    synthetic = make_synthetic(classes=3, per_class=100, image_size=32, seed=2)
+    save_cifar10_binary(synthetic, tmp_path / "cifar")
+    loaded = load_cifar10(tmp_path / "cifar")
+    assert synthetic.images.flags.c_contiguous and not loaded.images.flags.c_contiguous
+    for ds in (synthetic, loaded):
+        digest = hashlib.sha256(ds.images.tobytes())
+        digest.update(ds.labels.tobytes())
+        digest.update(f"{ds.source}|{ds.num_classes}".encode())
+        assert artifacts.dataset_fingerprint(ds) == digest.hexdigest()[:16]

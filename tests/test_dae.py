@@ -151,6 +151,18 @@ def test_latent_matrix_shape_and_row_oracle():
     np.testing.assert_array_equal(latents[3], single)
 
 
+def test_latents_match_concatenated_batches():
+    # the former formula: per-batch rows, concatenated, cast to float32
+    ds = make_synthetic(classes=2, per_class=5, image_size=8, seed=4)
+    model = build_autoencoder(SMALL_SPEC, seed=2)
+    with no_grad():
+        rows = [model.encode(Tensor(ds.images[s:s + 4])).data.reshape(-1, 32)
+                for s in range(0, len(ds), 4)]
+    want = np.concatenate(rows, axis=0).astype(np.float32)
+    got = extract_latents(model, ds, batch_size=4)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_duplicate_images_share_latent_rows():
     ds = make_synthetic(classes=2, per_class=3, image_size=8, seed=5)
     ds.images[4] = ds.images[1]

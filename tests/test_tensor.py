@@ -1,5 +1,7 @@
 """Tensor op semantics and gradient correctness."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -130,6 +132,52 @@ def test_no_grad_suppresses_tape():
     with no_grad():
         out = (x * x).sum()
     assert out._backward is None and not out.requires_grad
+
+
+def test_backward_frees_intermediate_activations():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(2, 6, 6, 3)))
+    w1 = Tensor(rng.normal(size=(3, 3, 3, 4)), requires_grad=True)
+    w2 = Tensor(rng.normal(size=(3, 3, 4, 2)), requires_grad=True)
+    h = conv2d(x, w1, stride=2, padding="same", relu=True)
+    out = conv2d(h, w2, padding="same", relu=True)
+    loss = (out * out).mean()
+    alive = weakref.ref(h.data)
+    del h, out
+    gradients(loss, [w1, w2])
+    # the caller holds only `loss` now; nothing on the tape may keep h alive
+    assert alive() is None
+    assert loss._parents == ()
+
+
+@pytest.mark.parametrize("again", ["gradients", "backward", "through an intermediate"])
+def test_second_backward_through_consumed_graph_raises(again):
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    h = x * x
+    loss = h.sum()
+    np.testing.assert_array_equal(gradients(loss, [x])[0], [2.0, 4.0])
+    with pytest.raises(RuntimeError, match="already consumed"):
+        if again == "gradients":
+            gradients(loss, [x])
+        elif again == "backward":
+            loss.backward()
+        else:
+            gradients((h * 3.0).sum(), [x])
+
+
+def test_tensor_on_two_paths_gets_the_summed_gradient():
+    # h feeds a product and a relu, so its node must outlive its first consumer
+    rng = np.random.default_rng(1)
+    x, w, c = rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
+
+    def build(ts):
+        h = ts[0] @ ts[1]
+        return (h * Tensor(c)).sum() + h.relu().sum()
+
+    gradcheck(build, [x, w], **DOUBLE)
+    wt = Tensor(w, requires_grad=True)
+    (gw,) = gradients(build([Tensor(x), wt]), [wt])
+    _assert_same_bits(gw, x.T @ (c + ((x @ w) > 0.0)))
 
 
 def test_logsumexp_matches_naive():
