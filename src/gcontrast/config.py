@@ -113,7 +113,10 @@ def _set_fields(target, names, parser_section, section_name, errors):
         current = getattr(target, name)
         try:
             if isinstance(current, bool):
-                value = raw.strip().lower() in ("1", "true", "yes", "on")
+                value = raw.strip().lower()
+                if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+                    raise ValueError(f"{raw.strip()!r} is not 1/true/yes/on or 0/false/no/off")
+                value = value in ("1", "true", "yes", "on")
             elif isinstance(current, tuple) and name.endswith("blocks"):
                 value = _parse_blocks(raw)
             elif isinstance(current, tuple):

@@ -5,8 +5,9 @@ The loss for an ordered positive pair (i, j) is
     -log( exp(sim(z_i, z_j)/tau) / sum_{k != i} exp(sim(z_i, z_k)/tau) )
 
 with the denominator running over all other rows, excluding only
-self-similarity. The total is the mean over all 2N ordered pairs, done
-with a log-sum-exp so large 1/tau never overflows.
+self-similarity. The total is the mean over all 2N ordered pairs: a
+softmax cross-entropy over the self-masked similarity rows with each
+row's partner as the target, stable for large 1/tau.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from .layers import Conv2D, Dense, GlobalAvgPool, Sequential
 from .optim import CosineSchedule, TrainingDivergedError, sgd_cosine_step
 from .scheduler import build_guided_plan, build_random_plan
 from .seeds import derive_seed
-from .tensor import NonFiniteError, ShapeError, Tensor, gradients
+from .tensor import NonFiniteError, ShapeError, Tensor, gradients, self_similarity_cross_entropy
 
 
 @dataclass(frozen=True)
@@ -105,18 +106,12 @@ def nt_xent_loss(embeddings: Tensor, pairing, temperature) -> Tensor:
     if rows < 2 or rows % 2 != 0:
         raise ShapeError(f"nt_xent_loss: need 2N rows with N >= 1, got {rows}")
     pairing = np.asarray(pairing, dtype=np.int64)
-    if pairing.shape != (rows,) or (pairing == np.arange(rows)).any():
-        raise ValueError("pairing must map every row to a distinct partner row")
-    z = embeddings.l2_normalize(axis=1)
-    sims = (z @ z.T) * (1.0 / temperature)
-    # self-similarity must not appear in any denominator
-    mask = np.full((rows, rows), 0.0, dtype=sims.dtype)
-    np.fill_diagonal(mask, -1e9)
-    lse = (sims + Tensor(mask)).logsumexp(axis=1)
-    positive_onehot = np.zeros((rows, rows), dtype=sims.dtype)
-    positive_onehot[np.arange(rows), pairing] = 1.0
-    positives = (sims * Tensor(positive_onehot)).sum(axis=1)
-    return (lse - positives).mean()
+    idx = np.arange(rows)
+    if (pairing.shape != (rows,) or not np.isin(pairing, idx).all()
+            or (pairing == idx).any() or (pairing[pairing] != idx).any()):
+        raise ValueError("pairing must map every row to a distinct partner row, and back")
+    scale = np.asarray(1.0 / temperature)  # float64: promotes float32 similarities and grads
+    return self_similarity_cross_entropy(embeddings.l2_normalize(axis=1), pairing, scale)
 
 
 def forward_pair_batch(encoder, head, batch, dataset: ImageDataset,

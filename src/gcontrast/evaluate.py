@@ -15,6 +15,7 @@ from .layers import Dense
 from .optim import AdamState, TrainingDivergedError, adam_step, fit_early_stopping
 from .seeds import derive_seed
 from .tensor import NonFiniteError, Tensor, gradients, no_grad
+from .tensor import cross_entropy as softmax_cross_entropy
 
 
 class TapPoint(enum.Enum):
@@ -76,14 +77,6 @@ def tap(encoder, head, points):
         return tuple(np.concatenate(r, axis=0) for r in rows)
 
     return extract
-
-
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    labels = np.asarray(labels, dtype=np.int64)
-    onehot = np.zeros(logits.shape, dtype=logits.data.dtype)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    picked = (logits * Tensor(onehot)).sum(axis=1)
-    return (logits.logsumexp(axis=1) - picked).mean()
 
 
 def _accuracy_percent(logits, labels):

@@ -412,7 +412,7 @@ def _signed(deltas):
     return "  ".join(f"{c}: {v:+.2f}" for c, v in deltas.items())
 
 
-def render_report(table, reference_key="cifar10"):
+def render_report(table):
     """(rows, text, deltas) of an accuracy_table.
 
     Rows hold the mean accuracy per method and eval, header first. The
@@ -430,22 +430,21 @@ def render_report(table, reference_key="cifar10"):
               for c in COMPARED if guided.get(c) and baseline.get(c)}
     if deltas:
         lines += ["", "guided minus random-baseline (this run): " + _signed(deltas)]
-        ref = FULL_SCALE_REFERENCE.get(reference_key, {})
-        if "guided" in ref:
-            lines.append(f"guided minus baseline (full-scale reference, {reference_key}): "
-                         + _signed({c: ref["guided"][c] - ref["random-baseline"][c]
-                                    for c in COMPARED}))
+        ref = FULL_SCALE_REFERENCE["cifar10"]
+        lines.append("guided minus baseline (full-scale reference, cifar10): "
+                     + _signed({c: ref["guided"][c] - ref["random-baseline"][c]
+                                for c in COMPARED}))
     return rows, "\n".join(lines), deltas
 
 
-def stage_report(ws: Workspace, reference_key="cifar10"):
+def stage_report(ws: Workspace):
     """Comparison table plus loss-curve CSV; refuses mixed datasets."""
     records = read_jsonl(ws.path("results.jsonl"), producer="probe / finetune")
     hashes = {r["dataset_hash"] for r in records}
     if len(hashes) > 1:
         raise ValueError(f"results.jsonl mixes dataset hashes {sorted(hashes)}; "
                          "refusing to compare")
-    rows, text, deltas = render_report(accuracy_table(records), reference_key)
+    rows, text, deltas = render_report(accuracy_table(records))
     write_csv(ws.path("report_table.csv"), rows[0], rows[1:], ws.config_hash)
     print(text)
 

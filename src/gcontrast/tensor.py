@@ -11,8 +11,8 @@ time. Leaves keep their ``.grad``; a second backward through a consumed
 node raises.
 
 Forward ops are pure and deterministic. Every op validates that its
-output is finite; NaN/Inf anywhere is treated as an error state, not a
-value to propagate.
+output is finite: NaN/Inf is an error, not a value to propagate. An
+operand's gradient is computed only when the operand requires one.
 """
 
 import contextlib
@@ -83,10 +83,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
 
@@ -124,18 +120,6 @@ class Tensor:
         out = np.maximum(x, 0.0)
         return _node("relu", out, (self,), lambda g: (g * (x > 0.0),))
 
-    # ---- structure ----
-
-    def transpose(self, axes=None):
-        ax = tuple(axes) if axes is not None else tuple(reversed(range(self.ndim)))
-        inv = np.argsort(ax)
-        out = self.data.transpose(ax)
-        return _node("transpose", out, (self,), lambda g: (g.transpose(inv),))
-
-    @property
-    def T(self):
-        return self.transpose()
-
     # ---- reductions ----
 
     def sum(self, axis=None, keepdims=False):
@@ -158,20 +142,6 @@ class Tensor:
             return (_expand_reduced(g, shape, axis, keepdims) / count,)
 
         return _node("mean", np.asarray(out), (self,), back)
-
-    def logsumexp(self, axis=-1):
-        """Numerically stable log(sum(exp(x))) along one axis."""
-        x = self.data
-        m = x.max(axis=axis, keepdims=True)
-        shifted = np.exp(x - m)
-        total = shifted.sum(axis=axis, keepdims=True)
-        out = (np.log(total) + m).squeeze(axis=axis)
-
-        def back(g):
-            softmax = shifted / total
-            return (np.expand_dims(g, axis) * softmax,)
-
-        return _node("logsumexp", out, (self,), back)
 
     def l2_normalize(self, axis=-1):
         """Scale slices along `axis` to unit Euclidean norm."""
@@ -286,8 +256,8 @@ def _binary(op, a, b, fwd, da, db):
     ad, bd = at.data, bt.data
 
     def back(g):
-        return (_unbroadcast(da(g, ad, bd), ad.shape),
-                _unbroadcast(db(g, ad, bd), bd.shape))
+        return (_unbroadcast(da(g, ad, bd), ad.shape) if at.requires_grad else None,
+                _unbroadcast(db(g, ad, bd), bd.shape) if bt.requires_grad else None)
 
     return _node(op, out, (at, bt), back)
 
@@ -330,9 +300,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = ad @ bd
 
     def back(g):
-        return (g @ bd.T, ad.T @ g)
+        return (g @ bd.T if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
 
     return _node("matmul", out, (a, b), back)
+
+
+def _cross_entropy_node(op, logits, targets, parent, to_parent):
+    """Row-mean softmax cross-entropy of (B, K) `logits` against B targets:
+    the stable row log-sum-exp less the target logit. `to_parent` maps the
+    logits gradient, (g/B)·softmax less g/B at each target, to `parent`."""
+    rows = np.arange(len(logits))
+    m = logits.max(axis=1, keepdims=True)
+    shifted = np.exp(logits - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    loss = ((np.log(total) + m).squeeze(axis=1) - logits[rows, targets]).mean()
+
+    def back(g):
+        gm = g / len(rows)
+        d = gm * (shifted / total)
+        d[rows, targets] -= gm
+        return (to_parent(d),)
+
+    return _node(op, loss, (parent,), back)
+
+
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean softmax cross-entropy of (B, K) logits against B class indices."""
+    return _cross_entropy_node("cross_entropy", logits.data, targets, logits, lambda d: d)
+
+
+def self_similarity_cross_entropy(z: Tensor, targets, scale) -> Tensor:
+    """cross_entropy over the rows of (z @ z.T) * scale, each row's own
+    entry masked out by adding -1e9; `scale`'s dtype joins the promotion."""
+    zd = z.data
+    sims = (zd @ zd.T) * scale
+    np.fill_diagonal(sims, sims.diagonal() + -1e9)
+
+    def to_z(ds):
+        dp = ds * scale
+        return dp @ zd + (zd.T @ dp).T
+
+    return _cross_entropy_node("self_similarity_cross_entropy", sims, targets, z, to_z)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -441,7 +450,7 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding="valid", bias=None, relu=Fals
     """2-D convolution, NHWC input against (kh, kw, C, F) kernel.
 
     An optional (F,) `bias` is added and `relu` applied in the same tape
-    node. The input gradient is computed only when `x` requires one.
+    node.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: need 4-D input and kernel, got {x.shape} and {w.shape}")
@@ -507,7 +516,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride=1, padding="same", bias=None,
     def back(g):
         g, dbias = _bias_relu_back(g, out, bias, relu)
         gcols, _, _ = _im2col(_pad(g, pt, pb, pl, pr), kh, kw, stride)
-        dx = (gcols @ wf).reshape(n, h, wd, c)
+        dx = (gcols @ wf).reshape(n, h, wd, c) if x.requires_grad else None
         dw = (gcols.T @ xf).reshape(kh, kw, f, c)
         return (dx, dw) + dbias
 

@@ -105,6 +105,55 @@ def col2im_reference(dcols, n, ho, wo, kh, kw, stride, pt, pl, shape):
     return out[:, pt:pt + h, pl:pl + w]
 
 
+def _composed_lse_terms(logits):
+    """Softmax and row log-sum-exp as the former logsumexp tape op made them."""
+    m = logits.max(axis=1, keepdims=True)
+    shifted = np.exp(logits - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    return shifted / total, (np.log(total) + m).squeeze(axis=1)
+
+
+def _composed_ce_grad(softmax, onehot, loss):
+    """Logits gradient of mean(lse - (logits * onehot).sum(1)), node by node:
+    mean, sub, then the logsumexp and the one-hot product, summed."""
+    rows = len(onehot)
+    g = np.broadcast_to(np.ones_like(loss), (rows,)) / rows
+    return (np.expand_dims(g, 1) * softmax
+            + np.broadcast_to(np.expand_dims(-g, 1), onehot.shape) * onehot)
+
+
+def softmax_cross_entropy_composed(logits, labels):
+    """Loss and logits gradient of the five-node tape that the
+    cross_entropy op replaced: one-hot product, sum, logsumexp, sub, mean."""
+    onehot = np.zeros(logits.shape, dtype=logits.dtype)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    softmax, lse = _composed_lse_terms(logits)
+    loss = np.asarray((lse - (logits * onehot).sum(axis=1)).mean())
+    return loss, _composed_ce_grad(softmax, onehot, loss)
+
+
+def nt_xent_composed(embeddings, pairing, tau):
+    """Loss and embedding gradient of NT-Xent as the composed tape computed
+    them: l2_normalize, transpose, matmul, the 1/tau product, a diagonal
+    mask add, then the five-node cross-entropy with a one-hot product."""
+    x = embeddings
+    norm = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    z = x / norm
+    scale = np.asarray(1.0 / tau)
+    sims = (z @ z.T) * scale
+    rows = len(z)
+    mask = np.full((rows, rows), 0.0, dtype=sims.dtype)
+    np.fill_diagonal(mask, -1e9)
+    onehot = np.zeros((rows, rows), dtype=sims.dtype)
+    onehot[np.arange(rows), pairing] = 1.0
+    softmax, lse = _composed_lse_terms(sims + mask)
+    loss = np.asarray((lse - (sims * onehot).sum(axis=1)).mean())
+    dzz = _composed_ce_grad(softmax, onehot, loss) * scale
+    dz = dzz @ z + (z.T @ dzz).T
+    dot = (dz * z).sum(axis=1, keepdims=True)
+    return loss, (dz - z * dot) / norm
+
+
 def nt_xent_reference(z, pairing, tau):
     """Brute-force NT-Xent: direct exponential sums, no log-sum-exp trick.
 

@@ -84,6 +84,22 @@ def test_bad_block_syntax_reported(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("raw, value", [("1", True), ("Yes", True), ("ON", True),
+                                        ("true", True), ("0", False), ("no", False),
+                                        ("Off", False), ("FALSE", False)])
+def test_boolean_spellings(tmp_path, raw, value):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[eval]\nsupervised_reference = {raw}\n")
+    assert load_config(path).eval.supervised_reference is value
+
+
+def test_boolean_typo_reported(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[eval]\nsupervised_reference = ture\n")
+    with pytest.raises(ConfigError, match="eval.supervised_reference: 'ture' is not"):
+        load_config(bad)
+
+
 def test_cifar_source_requires_path(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[dataset]\nsource = cifar10\n")

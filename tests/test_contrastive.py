@@ -20,9 +20,10 @@ from gcontrast.contrastive import (
 from gcontrast.cluster import PseudoLabelAssignment
 from gcontrast.data import AugmentationConfig, make_synthetic
 from gcontrast.layers import export_parameters
-from gcontrast.tensor import Tensor, no_grad
+import gcontrast.tensor as tensor_module
+from gcontrast.tensor import Tensor, gradients, no_grad
 
-from helpers import gradcheck, nt_xent_reference
+from helpers import gradcheck, nt_xent_composed, nt_xent_reference
 
 
 def test_interleaved_pairing_layout():
@@ -95,9 +96,32 @@ def test_nt_xent_rejects_bad_inputs():
         nt_xent_loss(z, interleaved_pairing(2), 0.0)
     with pytest.raises(ValueError, match="pairing"):
         nt_xent_loss(z, np.array([0, 0, 3, 2]), 0.1)
+    with pytest.raises(ValueError, match="pairing"):
+        nt_xent_loss(z, np.array([1, 0, 1, 0]), 0.1)   # row 2's partner is not its partner
     from gcontrast.tensor import ShapeError
     with pytest.raises(ShapeError, match="2N rows"):
         nt_xent_loss(Tensor(np.zeros((3, 2)) + 1.0), np.array([1, 0, 2]), 0.1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nt_xent_same_bits_as_composed_tape(dtype):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(10, 6)).astype(dtype)
+    pairing = np.array([5, 2, 1, 9, 7, 0, 8, 4, 6, 3])
+    t = Tensor(x, requires_grad=True)
+    loss = nt_xent_loss(t, pairing, 0.1)
+    want_loss, want_grad = nt_xent_composed(x, pairing, 0.1)
+    (grad,) = gradients(loss, [t])
+    for got, want in ((loss.data, want_loss), (grad, want_grad)):
+        assert got.dtype == want.dtype == np.float64   # float32 embeddings are promoted
+        assert np.array_equal(got, want)
+
+
+def test_nt_xent_loss_path_is_three_tape_nodes():
+    # forward_pair_batch's normalization, nt_xent_loss's own, one fused loss node
+    head_out = Tensor(np.random.default_rng(0).normal(size=(6, 4)), requires_grad=True)
+    loss = nt_xent_loss(head_out.l2_normalize(axis=1), interleaved_pairing(3), 0.1)
+    assert sum(t._backward is not None for t in tensor_module._toposort(loss)) == 3
 
 
 @pytest.mark.parametrize("num_pairs", [2, 3, 4])

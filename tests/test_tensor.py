@@ -14,13 +14,19 @@ from gcontrast.tensor import (
     Tensor,
     conv2d,
     conv2d_transpose,
+    cross_entropy,
     gradients,
     matmul,
     mse,
     no_grad,
 )
 
-from helpers import col2im_reference, conv2d_reference, gradcheck
+from helpers import (
+    col2im_reference,
+    conv2d_reference,
+    gradcheck,
+    softmax_cross_entropy_composed,
+)
 
 
 def test_relu_values():
@@ -180,17 +186,29 @@ def test_tensor_on_two_paths_gets_the_summed_gradient():
     _assert_same_bits(gw, x.T @ (c + ((x @ w) > 0.0)))
 
 
-def test_logsumexp_matches_naive():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(4, 6)) * 3
-    out = Tensor(x).logsumexp(axis=1).data
-    np.testing.assert_allclose(out, np.log(np.exp(x).sum(axis=1)), rtol=1e-12)
+def test_cross_entropy_stable_at_large_magnitudes():
+    x = Tensor(np.array([[1000.0, 1000.0], [-1000.0, -1000.0]]), requires_grad=True)
+    loss = cross_entropy(x, [0, 1])
+    np.testing.assert_allclose(loss.item(), np.log(2.0))
+    np.testing.assert_allclose(gradients(loss, [x])[0], [[-0.25, 0.25], [0.25, -0.25]])
 
 
-def test_logsumexp_stable_at_large_magnitudes():
-    x = np.array([[1000.0, 1000.0], [-1000.0, -1000.0]])
-    out = Tensor(x).logsumexp(axis=1).data
-    np.testing.assert_allclose(out, [1000.0 + np.log(2.0), -1000.0 + np.log(2.0)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_same_bits_as_composed_tape(dtype):
+    rng = np.random.default_rng(3)
+    logits = (rng.normal(size=(13, 5)) * 4).astype(dtype)
+    labels = rng.integers(0, 5, size=13)
+    t = Tensor(logits, requires_grad=True)
+    loss = cross_entropy(t, labels)
+    want_loss, want_grad = softmax_cross_entropy_composed(logits, labels)
+    _assert_same_bits(loss.data, want_loss)
+    _assert_same_bits(gradients(loss, [t])[0], want_grad)
+
+
+def test_cross_entropy_is_one_tape_node():
+    logits = Tensor(np.zeros((4, 3)), requires_grad=True)
+    loss = cross_entropy(logits, [0, 1, 2, 0])
+    assert sum(t._backward is not None for t in tensor_module._toposort(loss)) == 1
 
 
 def test_l2_normalize_rows_unit_norm():
@@ -390,9 +408,27 @@ def test_fused_conv_screens_pre_activation_before_relu(op, overflow_in):
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_reductions_and_normalize(seed):
     x, = _random_arrays(seed, [(4, 5)], np.float64)
-    gradcheck(lambda ts: ts[0].logsumexp(axis=1).sum(), [x], **DOUBLE)
     gradcheck(lambda ts: (ts[0].l2_normalize(axis=1) * 0.3).sum(), [x], **DOUBLE)
     gradcheck(lambda ts: ts[0].mean(axis=0).sum(), [x], **DOUBLE)
+
+
+def test_constant_operands_get_no_gradient():
+    # every op skips the gradient of an operand that does not require one
+    rng = np.random.default_rng(0)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 3)))
+    target = Tensor(rng.normal(size=(4, 2)))
+    kernel = Tensor(rng.normal(size=(3, 3, 2, 2)), requires_grad=True)
+    image = Tensor(rng.normal(size=(1, 4, 4, 2)))
+    losses = [mse(x @ w, target), (target * (x @ w) + 1.0).sum(),
+              (w.relu() @ Tensor(w.data.T)).sum(), conv2d(image, kernel, padding="same").sum(),
+              conv2d_transpose(image, kernel, stride=2).sum()]
+    for loss in losses:
+        for node in tensor_module._toposort(loss):
+            if node._backward is None:
+                continue
+            for parent, contrib in zip(node._parents, node._backward(np.ones(node.shape))):
+                assert parent.requires_grad or contrib is None
 
 
 def test_grad_broadcast_add_sums_over_batch():
