@@ -112,21 +112,23 @@ def fit_softmax_classifier(forward, params, train_inputs, train_labels,
             except NonFiniteError as err:
                 raise TrainingDivergedError(epoch, bi, err) from err
 
+    accuracies = []  # each epoch's, so the best epoch needs no second validation pass
+
     def val_loss():
         with no_grad():
-            val_losses, counts = [], []
+            val_losses, counts, chunks = [], [], []
             for start in range(0, len(val_inputs), batch_size):
                 chunk = slice(start, start + batch_size)
-                loss = softmax_cross_entropy(forward(val_inputs[chunk]), val_labels[chunk])
+                logits = forward(val_inputs[chunk])
+                loss = softmax_cross_entropy(logits, val_labels[chunk])
+                chunks.append(logits.data)
                 val_losses.append(loss.item())
                 counts.append(len(val_labels[chunk]))
+        accuracies.append(_accuracy_percent(np.concatenate(chunks, axis=0), val_labels))
         return float(np.average(val_losses, weights=counts))
 
-    fit_early_stopping(params, train_epoch, val_loss, epochs, patience)
-    with no_grad():
-        chunks = [forward(val_inputs[start:start + batch_size]).data
-                  for start in range(0, len(val_inputs), batch_size)]
-    return _accuracy_percent(np.concatenate(chunks, axis=0), val_labels)
+    history = fit_early_stopping(params, train_epoch, val_loss, epochs, patience)
+    return accuracies[history.best_epoch - 1]
 
 
 def linear_probe(features, train_ds: ImageDataset, val_ds: ImageDataset,

@@ -83,9 +83,8 @@ class Workspace:
             self._dataset = resolve_dataset(self.config)
             self._dataset_hash = dataset_fingerprint(self._dataset)
             write_json(self.path("dataset_meta.json"),
-                       {"config_hash": self.config_hash, "dataset_hash": self._dataset_hash,
-                        "source": self._dataset.source, "n": len(self._dataset),
-                        "num_classes": self._dataset.num_classes})
+                       {"dataset_hash": self._dataset_hash, "source": self._dataset.source,
+                        "n": len(self._dataset), "num_classes": self._dataset.num_classes})
         return self._dataset
 
     @property
@@ -139,7 +138,7 @@ def _fresh(ws, paths, force):
 # ---- stages ----
 
 def stage_train_dae(ws: Workspace, force=False):
-    outputs = [ws.path("dae_checkpoint.json"), ws.path("dae_history.csv"), ws.path("latents.csv")]
+    outputs = [ws.path("dae_checkpoint.json"), ws.path("dae_history.csv"), ws.path("latents.json")]
     if _fresh(ws, outputs, force):
         log("train-dae: up to date, skipping (use --force to redo)")
         return
@@ -165,7 +164,7 @@ def stage_train_dae(ws: Workspace, force=False):
               [(e + 1, t, v) for e, (t, v) in enumerate(zip(history.train_loss, history.val_loss))],
               ws.config_hash)
     latents = extract_latents(model, ws.dataset)
-    write_latents_csv(ws.path("latents.csv"), latents, ws.config_hash)
+    write_latents_csv(ws.path("latents.bin"), latents, ws.config_hash)
     log(f"train-dae: best epoch {history.best_epoch}, stopped {history.stopped_epoch}, "
         f"val loss {min(history.val_loss):.6f}")
 
@@ -175,8 +174,8 @@ def stage_cluster(ws: Workspace, force=False):
     if _fresh(ws, outputs, force):
         log("cluster: up to date, skipping (use --force to redo)")
         return
-    stored, latents = read_latents_csv(ws.path("latents.csv"))
-    require_current(ws.path("latents.csv"), stored, ws.config_hash, producer="train-dae")
+    stored, latents = read_latents_csv(ws.path("latents.bin"))
+    require_current(ws.path("latents.json"), stored, ws.config_hash, producer="train-dae")
     cfg = ws.config
     model = kmeans_fit(latents, k=cfg.cluster.k, seed=derive_seed(cfg.seed, "cluster"),
                        max_iter=cfg.cluster.max_iter, tol=cfg.cluster.tol)

@@ -280,8 +280,8 @@ def test_10_pipeline_determinism(tmp_path):
                            "--mode", mode])
             assert rc == 0
     compared = 0
-    for name in ("results.jsonl", "dae_history.csv", "latents.csv", "pseudo_labels.csv",
-                 "plan_guided.jsonl", "plan_random.jsonl",
+    for name in ("results.jsonl", "dae_history.csv", "latents.bin", "latents.json",
+                 "pseudo_labels.csv", "plan_guided.jsonl", "plan_random.jsonl",
                  "contrastive_guided_loss.csv", "contrastive_random_loss.csv",
                  "dae_checkpoint.bin", "contrastive_guided_encoder.bin"):
         a = (dirs[0] / name).read_bytes()

@@ -41,7 +41,7 @@ WRITERS = {
     "write_csv": lambda d: artifacts.write_csv(
         str(d / "t.csv"), ["a", "b"], [(i, i * i) for i in range(64)], "abc"),
     "write_latents_csv": lambda d: artifacts.write_latents_csv(
-        str(d / "latents.csv"), np.ones((16, 8), dtype=np.float32), "abc"),
+        str(d / "latents.bin"), np.ones((16, 8), dtype=np.float32), "abc"),
     "write_jsonl": lambda d: artifacts.write_jsonl(
         str(d / "t.jsonl"), [{"i": i} for i in range(64)]),
     "write_json": lambda d: artifacts.write_json(
@@ -77,12 +77,12 @@ def test_interrupted_append_keeps_earlier_records(tmp_path, monkeypatch):
 
 def test_stored_hash_reads_every_artifact_format(tmp_path):
     artifacts.write_csv(str(tmp_path / "t.csv"), ["a"], [(1,)], "c5v")
-    artifacts.write_latents_csv(str(tmp_path / "latents.csv"), np.ones((2, 3)), "1at")
+    artifacts.write_latents_csv(str(tmp_path / "latents.bin"), np.ones((2, 3)), "1at")
     artifacts.write_jsonl(str(tmp_path / "t.jsonl"), [{"config_hash": "j51"}, {"x": 1}])
     artifacts.save_checkpoint(str(tmp_path / "ckpt"), {"config_hash": "j50"}, [np.ones(2)])
     got = {name: artifacts.stored_hash(str(tmp_path / name))
-           for name in ("t.csv", "latents.csv", "t.jsonl", "ckpt.json")}
-    assert got == {"t.csv": "c5v", "latents.csv": "1at", "t.jsonl": "j51", "ckpt.json": "j50"}
+           for name in ("t.csv", "latents.json", "t.jsonl", "ckpt.json")}
+    assert got == {"t.csv": "c5v", "latents.json": "1at", "t.jsonl": "j51", "ckpt.json": "j50"}
 
 
 def test_stored_hash_reads_only_the_first_line(tmp_path):
@@ -114,23 +114,27 @@ def test_completed_write_leaves_only_the_artifact(writer, tmp_path):
     assert names and not any(name.endswith(".tmp") for name in names)
 
 
-def test_latents_csv_matches_elementwise_formatting(tmp_path):
-    # the reference formats every cell with np.char.mod, as the writer
-    # once did; the file must not change by a byte
+def test_latents_round_trip_bit_exact(tmp_path):
     f32 = np.finfo(np.float32)
     latents = np.array([
         [0.0, -0.0, f32.smallest_subnormal, -f32.smallest_subnormal],
         [f32.tiny, f32.max, -f32.max, f32.eps],
         [np.float32(1) / 3, -2.5e-7, 123456789.0, 1e-45],
     ], dtype=np.float32)
-    path = tmp_path / "latents.csv"
-    artifacts.write_latents_csv(str(path), latents, "abc")
-    cells = np.char.mod("%.9g", latents)
-    want = "# config_hash=abc\nindex,dim0,dim1,dim2,dim3\n" + "".join(
-        f"{i}," + ",".join(row) + "\n" for i, row in enumerate(cells.tolist()))
-    assert path.read_text() == want
-    _, back = artifacts.read_latents_csv(str(path))
+    artifacts.write_latents_csv(str(tmp_path / "latents.bin"), latents, "abc")
+    stored, back = artifacts.read_latents_csv(str(tmp_path / "latents.bin"))
+    assert stored == "abc" and back.dtype == np.float32
     assert np.array_equal(back, latents)
+    assert np.array_equal(np.signbit(back), np.signbit(latents))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latents.bin", "latents.json"]
+
+
+@pytest.mark.parametrize("missing", ["latents.json", "latents.bin"])
+def test_missing_latents_name_their_producer(tmp_path, missing):
+    artifacts.write_latents_csv(str(tmp_path / "latents.bin"), np.ones((2, 3)), "abc")
+    (tmp_path / missing).unlink()
+    with pytest.raises(artifacts.MissingArtifactError, match="run `train-dae` first"):
+        artifacts.read_latents_csv(str(tmp_path / "latents.bin"))
 
 
 def test_dataset_fingerprint_matches_whole_array_bytes_on_both_layouts(tmp_path):

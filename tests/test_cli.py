@@ -26,7 +26,7 @@ def pipeline_dir(tmp_path):
 
 def test_pipeline_produces_expected_artifacts(pipeline_dir):
     for name in ("dataset_meta.json", "dae_checkpoint.json", "dae_checkpoint.bin",
-                 "dae_history.csv", "latents.csv", "pseudo_labels.csv",
+                 "dae_history.csv", "latents.json", "latents.bin", "pseudo_labels.csv",
                  "plan_guided.jsonl", "contrastive_guided_encoder.json",
                  "contrastive_guided_loss.csv", "results.jsonl"):
         assert (pipeline_dir / name).exists(), name
@@ -125,6 +125,15 @@ def test_artifact_without_stored_hash_counts_as_stale(pipeline_dir, capsys):
     err = capsys.readouterr().err
     assert "skipping" not in err and "best epoch" in err
     assert history.read_text() == "".join(lines)
+
+
+def test_dataset_meta_is_not_rewritten_by_another_config(pipeline_dir, tmp_path):
+    # it describes the dataset, which the changed key does not touch
+    before = (pipeline_dir / "dataset_meta.json").read_bytes()
+    changed = _tiny_with(tmp_path, "base_lr = 0.05", "base_lr = 0.07")
+    assert run("train-contrastive", "--config", changed, "--run-dir", str(pipeline_dir),
+               "--mode", "random", "--force") == 0
+    assert (pipeline_dir / "dataset_meta.json").read_bytes() == before
 
 
 def test_forced_probe_rewrites_results_once(pipeline_dir, monkeypatch):
@@ -229,7 +238,7 @@ def test_two_pipeline_runs_byte_identical(tmp_path):
         for mode in ("guided", "random"):
             assert run("pipeline", "--config", TINY, "--run-dir", str(d),
                        "--mode", mode) == 0
-    for name in ("results.jsonl", "dae_history.csv", "latents.csv",
+    for name in ("results.jsonl", "dae_history.csv", "latents.json", "latents.bin",
                  "contrastive_guided_loss.csv", "contrastive_random_loss.csv",
                  "pseudo_labels.csv", "plan_guided.jsonl"):
         a = (dirs[0] / name).read_bytes()

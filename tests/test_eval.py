@@ -208,3 +208,25 @@ def test_classifier_divergence_names_epoch_and_batch():
         fit_softmax_classifier(lambda xb: clf(Tensor(xb)), clf.params(), x[:32], y[:32],
                                x[32:], y[32:], epochs=3, batch_size=8, lr=1e38)
     assert not isinstance(excinfo.value, FloatingPointError)
+
+
+def test_best_epoch_is_validated_once():
+    # each epoch's validation pass yields the accuracy at its weights; a
+    # second pass after restoring the best epoch would repeat one
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(39, 5)).astype(np.float32)
+    y = rng.integers(0, 3, size=39)
+    clf = Dense(np.random.default_rng(1), 5, 3, activation="linear")
+    val_forwards = []
+
+    def forward(xb):
+        if len(xb) == 7:  # the validation split; train batches hold 16 rows
+            val_forwards.append(len(xb))
+        return clf(Tensor(xb))
+
+    accuracy = fit_softmax_classifier(forward, clf.params(), x[:32], y[:32], x[32:], y[32:],
+                                      epochs=4, patience=10, batch_size=16)
+    assert len(val_forwards) == 4
+    with no_grad():
+        logits = clf(Tensor(x[32:])).data
+    assert accuracy == 100.0 * float((logits.argmax(axis=1) == y[32:]).mean())
