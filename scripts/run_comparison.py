@@ -13,7 +13,8 @@ for context.
 import argparse
 import sys
 
-from gcontrast.config import load_config
+from gcontrast.artifacts import MissingArtifactError
+from gcontrast.config import ConfigError, load_config
 from gcontrast.pipeline import render_report, run_mode_comparison
 
 
@@ -26,8 +27,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    config = load_config(args.config)
-    table = run_mode_comparison(config, args.run_root, seeds, force=args.force)
+    try:
+        config = load_config(args.config)
+        table = run_mode_comparison(config, args.run_root, seeds, force=args.force)
+    except (ConfigError, MissingArtifactError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     _, text, _ = render_report(table)
     print(f"\nmean validation accuracy over seeds {seeds}")
     print(text)

@@ -1,11 +1,8 @@
 """Run-directory artifacts: checkpoints, CSV tables, JSONL streams.
 
-Every artifact embeds the config fingerprint so downstream stages can
-refuse stale inputs. CSV files carry it as a leading comment line,
-JSONL files in their first record and JSON files as a field;
-`stored_hash` reads it back from any of them. Nothing here writes
-timestamps: identical runs must produce byte-identical files. Files are written to a
-temporary sibling and renamed into place, so none is ever left truncated.
+Nothing here writes timestamps: identical runs must produce
+byte-identical files. Files are written to a temporary sibling and
+renamed into place, so none is ever left truncated.
 """
 
 import contextlib
@@ -19,7 +16,7 @@ from .data import ImageDataset
 
 
 class MissingArtifactError(FileNotFoundError):
-    """A required upstream artifact is absent or stale; names the producing command."""
+    """A required upstream artifact is absent; names the producing command."""
 
 
 def sha256_hex(payload: bytes) -> str:
@@ -55,33 +52,6 @@ def require(path, producer):
     return path
 
 
-def require_current(path, stored, config_hash, producer):
-    """Refuse an upstream artifact written under another config."""
-    if stored != config_hash:
-        raise MissingArtifactError(
-            f"stale artifact {path} (config hash {stored}, expected {config_hash}); "
-            f"run `{producer}` first")
-
-
-_HASH_COMMENT = "# config_hash="
-
-
-def stored_hash(path):
-    """The config hash `path` was written under, None if absent or unreadable.
-
-    A CSV or JSONL file is read only up to its first newline.
-    """
-    try:
-        with open(path, "rb") as fh:
-            first = (fh.read() if path.endswith(".json") else fh.readline()).decode()
-        if path.endswith(".csv"):
-            return first[len(_HASH_COMMENT):].strip() if first.startswith(_HASH_COMMENT) else None
-        record = json.loads(first)
-    except (OSError, ValueError):   # missing, undecodable or not JSON
-        return None
-    return record.get("config_hash") if isinstance(record, dict) else None
-
-
 @contextlib.contextmanager
 def _atomic_open(path, mode="w"):
     tmp = path + ".tmp"
@@ -100,10 +70,6 @@ def save_checkpoint(stem, manifest: dict, params):
     manifest = dict(manifest)
     manifest["param_shapes"] = [list(p.shape) for p in params]
     buffers = [np.ascontiguousarray(p, dtype="<f4") for p in params]
-    # freshness is read from the .json alone: an interrupted write must
-    # leave none over a .bin it does not describe
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(stem + ".json")
     with _atomic_open(stem + ".bin", "wb") as fh:
         for buf in buffers:
             fh.write(buf.tobytes())
@@ -115,9 +81,13 @@ def write_json(path, record):
         fh.write(json.dumps(record, sort_keys=True, indent=1) + "\n")
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def load_checkpoint(stem, producer="(the stage that writes it)"):
-    with open(require(stem + ".json", producer)) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(require(stem + ".json", producer))
     raw = np.fromfile(require(stem + ".bin", producer), dtype="<f4")
     arrays, offset = [], 0
     for shape in manifest["param_shapes"]:
@@ -129,44 +99,34 @@ def load_checkpoint(stem, producer="(the stage that writes it)"):
     return manifest, arrays
 
 
-# ---- CSV with a leading config-hash comment ----
+# ---- CSV ----
 
-def write_csv(path, header, rows, config_hash):
+def write_csv(path, header, rows):
     with _atomic_open(path) as fh:
-        fh.write(f"{_HASH_COMMENT}{config_hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
 def read_csv(path, producer="(unknown)"):
-    require(path, producer)
-    meta = {}
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    body = []
-    for line in lines:
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            meta[key.strip()] = value.strip()
-        elif line:
-            body.append(line.split(","))
-    header, rows = body[0], body[1:]
-    return meta, header, rows
+    """({}, header, rows); the empty dict keeps the three-value form
+    that callers unpack."""
+    with open(require(path, producer)) as fh:
+        header, *rows = [line.split(",") for line in fh.read().splitlines() if line]
+    return {}, header, rows
 
 
-def write_latents_csv(path, latents, config_hash):
+def write_latents_csv(path, latents):
     """Save latents as the checkpoint whose `.bin` is `path`. The CSV-era
     name and first argument stay: the benchmark tracer wraps this function
     by name and sizes the written file at `args[0]`."""
-    save_checkpoint(path.removesuffix(".bin"), {"kind": "latents", "config_hash": config_hash},
-                    [latents])
+    save_checkpoint(path.removesuffix(".bin"), {"kind": "latents"}, [latents])
 
 
 def read_latents_csv(path, producer="train-dae"):
-    """(stored config hash, float32 latents) as `write_latents_csv` saved them."""
-    manifest, (latents,) = load_checkpoint(path.removesuffix(".bin"), producer)
-    return manifest.get("config_hash"), latents
+    """The float32 latents `write_latents_csv` saved."""
+    _, (latents,) = load_checkpoint(path.removesuffix(".bin"), producer)
+    return latents
 
 
 # ---- JSONL ----

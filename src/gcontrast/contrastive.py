@@ -139,16 +139,14 @@ class LossHistory:
 def train_contrastive(dataset: ImageDataset, config: ContrastiveConfig,
                       encoder_spec: EncoderSpec = EncoderSpec(),
                       head_spec: ProjectionHeadSpec = ProjectionHeadSpec(),
-                      assignment: PseudoLabelAssignment = None,
-                      aug_config: AugmentationConfig = None):
+                      assignment: PseudoLabelAssignment = None):
     """SGD + cosine decay over batches from guided or random plans.
 
     Returns (encoder, head, LossHistory). Batches are guided by the
     pseudo-label assignment when one is given and random otherwise;
     labels proper are never touched.
     """
-    if aug_config is None:
-        aug_config = AugmentationConfig(seed=derive_seed(config.seed, "augment"))
+    aug_config = AugmentationConfig(seed=derive_seed(config.seed, "augment"))
     encoder = build_encoder(encoder_spec, config.seed)
     head = build_head(head_spec, encoder_spec.feature_dim, config.seed)
     params = encoder.params() + head.params()

@@ -30,9 +30,8 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def init(cls, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-7):
-        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                   m=[np.zeros_like(p.data) for p in params],
+    def init(cls, params, lr=1e-3):
+        return cls(lr=lr, m=[np.zeros_like(p.data) for p in params],
                    v=[np.zeros_like(p.data) for p in params])
 
 

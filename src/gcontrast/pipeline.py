@@ -1,10 +1,11 @@
 """Pipeline stages behind the CLI commands.
 
-Each stage reads and writes versioned artifacts under one run
-directory. Completed stages are skipped on re-run unless forced; a
-stage whose upstream artifact is missing names the command that
-produces it. Artifact files never contain timestamps, so identical
-configurations yield byte-identical runs.
+Each stage reads and writes artifacts under one run directory, which
+is bound to one config by its `run.json`. A stage whose outputs all
+exist is skipped on re-run unless forced; a stage whose upstream
+artifact is missing names the command that produces it. Artifact files
+never contain timestamps, so identical configurations yield
+byte-identical runs.
 """
 
 import copy
@@ -19,19 +20,18 @@ from .artifacts import (
     dataset_fingerprint,
     load_checkpoint,
     read_csv,
+    read_json,
     read_jsonl,
     read_latents_csv,
     require,
-    require_current,
     save_checkpoint,
-    stored_hash,
     write_csv,
     write_json,
     write_jsonl,
     write_latents_csv,
 )
 from .cluster import PseudoLabelAssignment, assign, kmeans_fit, pseudo_label_table
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .contrastive import (
     ContrastiveConfig,
     EncoderSpec,
@@ -64,13 +64,30 @@ def _method_tag(mode):
 
 
 class Workspace:
-    """One run directory plus the resolved config and lazy dataset."""
+    """One run directory plus the resolved config and lazy dataset.
+
+    The directory belongs to one config: the first command writes its
+    hash to `run.json`, and a command under another config, or in a
+    directory that holds files but no `run.json`, is refused before it
+    writes anything. So every artifact that exists is current.
+    """
 
     def __init__(self, config: RunConfig, run_dir):
         self.config = config
         self.run_dir = str(run_dir)
-        os.makedirs(self.run_dir, exist_ok=True)
-        self.config_hash = config_fingerprint(config.to_dict())
+        config_hash = config_fingerprint(config.to_dict())
+        bound = self.path("run.json")
+        if os.path.exists(bound):
+            stored = read_json(bound)["config_hash"]
+        elif os.path.isdir(self.run_dir) and os.listdir(self.run_dir):
+            stored = "unknown (it holds files but no run.json)"
+        else:
+            os.makedirs(self.run_dir, exist_ok=True)
+            write_json(bound, {"config_hash": config_hash})
+            stored = config_hash
+        if stored != config_hash:
+            raise ConfigError([f"run directory {self.run_dir} belongs to config hash {stored}, "
+                               f"not to this config's {config_hash}; use another --run-dir"])
         self._dataset = None
         self._dataset_hash = None
 
@@ -82,9 +99,11 @@ class Workspace:
         if self._dataset is None:
             self._dataset = resolve_dataset(self.config)
             self._dataset_hash = dataset_fingerprint(self._dataset)
-            write_json(self.path("dataset_meta.json"),
-                       {"dataset_hash": self._dataset_hash, "source": self._dataset.source,
-                        "n": len(self._dataset), "num_classes": self._dataset.num_classes})
+            meta = {"dataset_hash": self._dataset_hash, "source": self._dataset.source,
+                    "n": len(self._dataset), "num_classes": self._dataset.num_classes}
+            path = self.path("dataset_meta.json")
+            if not os.path.exists(path) or read_json(path) != meta:
+                write_json(path, meta)
         return self._dataset
 
     @property
@@ -130,16 +149,17 @@ def _exact_stratified_subset(labels, size, seed):
     return np.sort(np.concatenate(chosen))
 
 
-def _fresh(ws, paths, force):
-    """True when every artifact exists and carries the current config hash."""
-    return not force and all(stored_hash(path) == ws.config_hash for path in paths)
+def _fresh(paths, force):
+    """True when every output exists: the run directory's binding makes it current."""
+    return not force and all(map(os.path.exists, paths))
 
 
 # ---- stages ----
 
 def stage_train_dae(ws: Workspace, force=False):
-    outputs = [ws.path("dae_checkpoint.json"), ws.path("dae_history.csv"), ws.path("latents.json")]
-    if _fresh(ws, outputs, force):
+    outputs = [ws.path(name) for name in ("dae_checkpoint.json", "dae_checkpoint.bin",
+                                          "dae_history.csv", "latents.json", "latents.bin")]
+    if _fresh(outputs, force):
         log("train-dae: up to date, skipping (use --force to redo)")
         return
     cfg = ws.config
@@ -157,47 +177,43 @@ def stage_train_dae(ws: Workspace, force=False):
                 "image_size": cfg.dataset.image_size, "channels": cfg.dataset.channels,
                 "latent_shape": list(spec.latent_shape()), "seed": init_seed,
                 "best_epoch": history.best_epoch, "stopped_epoch": history.stopped_epoch,
-                "config_hash": ws.config_hash, "dataset_hash": ws.dataset_hash}
+                "dataset_hash": ws.dataset_hash}
     save_checkpoint(ws.path("dae_checkpoint"), manifest,
                     [p.data for p in model.params()])
     write_csv(ws.path("dae_history.csv"), ["epoch", "train_loss", "val_loss"],
-              [(e + 1, t, v) for e, (t, v) in enumerate(zip(history.train_loss, history.val_loss))],
-              ws.config_hash)
+              [(e + 1, t, v) for e, (t, v) in enumerate(zip(history.train_loss, history.val_loss))])
     latents = extract_latents(model, ws.dataset)
-    write_latents_csv(ws.path("latents.bin"), latents, ws.config_hash)
+    write_latents_csv(ws.path("latents.bin"), latents)
     log(f"train-dae: best epoch {history.best_epoch}, stopped {history.stopped_epoch}, "
         f"val loss {min(history.val_loss):.6f}")
 
 
 def stage_cluster(ws: Workspace, force=False):
-    outputs = [ws.path("pseudo_labels.csv"), ws.path("cluster_model.json")]
-    if _fresh(ws, outputs, force):
+    outputs = [ws.path(name) for name in ("pseudo_labels.csv", "cluster_model.json",
+                                          "cluster_model.bin")]
+    if _fresh(outputs, force):
         log("cluster: up to date, skipping (use --force to redo)")
         return
-    stored, latents = read_latents_csv(ws.path("latents.bin"))
-    require_current(ws.path("latents.json"), stored, ws.config_hash, producer="train-dae")
+    latents = read_latents_csv(ws.path("latents.bin"))
     cfg = ws.config
     model = kmeans_fit(latents, k=cfg.cluster.k, seed=derive_seed(cfg.seed, "cluster"),
                        max_iter=cfg.cluster.max_iter, tol=cfg.cluster.tol)
     assignment = assign(model, latents)
     write_csv(ws.path("pseudo_labels.csv"), ["image_index", "cluster_label"],
-              pseudo_label_table(assignment), ws.config_hash)
+              pseudo_label_table(assignment))
     save_checkpoint(ws.path("cluster_model"),
                     {"kind": "kmeans", "k": model.k, "inertia": model.inertia,
                      "iterations_run": model.iterations_run,
-                     "seed": derive_seed(cfg.seed, "cluster"),
-                     "config_hash": ws.config_hash, "dataset_hash": ws.dataset_hash},
+                     "seed": derive_seed(cfg.seed, "cluster"), "dataset_hash": ws.dataset_hash},
                     [model.centroids])
     occupied = int((assignment.counts > 0).sum())
     log(f"cluster: k={model.k}, {occupied} nonempty clusters, inertia {model.inertia:.3f}")
 
 
 def _load_assignment(ws) -> PseudoLabelAssignment:
-    path = ws.path("pseudo_labels.csv")
-    meta, _, rows = read_csv(path, producer="cluster")
-    require_current(path, meta.get("config_hash"), ws.config_hash, producer="cluster")
+    _, _, rows = read_csv(ws.path("pseudo_labels.csv"), producer="cluster")
     labels = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    k = ws.config.cluster.k  # the k the labels came from: their hash is this config's
+    k = ws.config.cluster.k  # the k the labels came from: the run directory has one config
     return PseudoLabelAssignment(labels=labels, counts=np.bincount(labels, minlength=k))
 
 
@@ -210,7 +226,7 @@ def _contrastive_config(ws) -> ContrastiveConfig:
 
 def stage_plan(ws: Workspace, mode, force=False):
     out = ws.path(f"plan_{mode}.jsonl")
-    if _fresh(ws, [out], force):
+    if _fresh([out], force):
         log(f"plan[{mode}]: up to date, skipping (use --force to redo)")
         return
     assignment = _load_assignment(ws) if mode == "guided" else None
@@ -220,7 +236,7 @@ def stage_plan(ws: Workspace, mode, force=False):
         if nonempty < config.batch_size:
             log(f"plan[{mode}]: warning: only {nonempty} nonempty clusters for batch "
                 f"size {config.batch_size}; guided batching degenerates toward random")
-    records = [{"config_hash": ws.config_hash}]
+    records = []
     check_against = assignment if assignment is not None else PseudoLabelAssignment(
         labels=np.zeros(n, dtype=np.int64), counts=np.array([n]))
     for epoch in range(1, config.epochs + 1):
@@ -234,14 +250,13 @@ def stage_plan(ws: Workspace, mode, force=False):
             records.append({"epoch": epoch, "batch_index": bi,
                             "indices": [int(i) for i in batch]})
     write_jsonl(out, records)
-    log(f"plan[{mode}]: wrote {len(records) - 1} batches over {config.epochs} epoch plans")
+    log(f"plan[{mode}]: wrote {len(records)} batches over {config.epochs} epoch plans")
 
 
 def stage_train_contrastive(ws: Workspace, mode, force=False):
-    outputs = [ws.path(f"contrastive_{mode}_encoder.json"),
-               ws.path(f"contrastive_{mode}_head.json"),
-               ws.path(f"contrastive_{mode}_loss.csv")]
-    if _fresh(ws, outputs, force):
+    outputs = [ws.path(f"contrastive_{mode}_{name}") for name in
+               ("encoder.json", "encoder.bin", "head.json", "head.bin", "loss.csv")]
+    if _fresh(outputs, force):
         log(f"train-contrastive[{mode}]: up to date, skipping (use --force to redo)")
         return
     cfg = ws.config
@@ -255,14 +270,13 @@ def stage_train_contrastive(ws: Workspace, mode, force=False):
     base_manifest = {"mode": mode, "blocks": [list(b) for b in cfg.contrastive.encoder_blocks],
                      "channels": cfg.dataset.channels,
                      "head_widths": list(cfg.contrastive.head_widths),
-                     "seed": config.seed,
-                     "config_hash": ws.config_hash, "dataset_hash": ws.dataset_hash}
+                     "seed": config.seed, "dataset_hash": ws.dataset_hash}
     save_checkpoint(ws.path(f"contrastive_{mode}_encoder"),
                     dict(base_manifest, kind="encoder"), [p.data for p in encoder.params()])
     save_checkpoint(ws.path(f"contrastive_{mode}_head"),
                     dict(base_manifest, kind="projection-head"), [p.data for p in head.params()])
     write_csv(ws.path(f"contrastive_{mode}_loss.csv"), ["epoch", "batch", "loss"],
-              history.records, ws.config_hash)
+              history.records)
     log(f"train-contrastive[{mode}]: epoch means "
         f"{history.epoch_means[0]:.4f} -> {history.epoch_means[-1]:.4f}")
 
@@ -270,9 +284,6 @@ def stage_train_contrastive(ws: Workspace, mode, force=False):
 def _load_contrastive(ws, mode):
     enc_manifest, enc_arrays = load_checkpoint(ws.path(f"contrastive_{mode}_encoder"))
     head_manifest, head_arrays = load_checkpoint(ws.path(f"contrastive_{mode}_head"))
-    for part, manifest in (("encoder", enc_manifest), ("head", head_manifest)):
-        require_current(ws.path(f"contrastive_{mode}_{part}.json"), manifest.get("config_hash"),
-                        ws.config_hash, producer=f"train-contrastive --mode {mode}")
     spec = EncoderSpec(blocks=tuple(tuple(b) for b in enc_manifest["blocks"]),
                        channels=enc_manifest["channels"])
     encoder = build_encoder(spec, 0)
@@ -291,23 +302,22 @@ def _existing_reports(ws):
 
 
 def _recorded(ws, force):
-    """(method, eval_name) pairs results.jsonl holds under this config;
-    none under --force, which redoes them."""
+    """(method, eval_name) pairs results.jsonl holds; none under --force,
+    which redoes them."""
     if force:
         return set()
-    return {(r["method"], r["eval_name"]) for r in _existing_reports(ws)
-            if r["config_hash"] == ws.config_hash}
+    return {(r["method"], r["eval_name"]) for r in _existing_reports(ws)}
 
 
 def _append_reports(ws, reports, force):
     records = [{"method": report.method, "eval_name": report.eval_name,
                 "accuracy": report.accuracy, "seed": report.seed,
-                "config_hash": ws.config_hash, "dataset_hash": ws.dataset_hash}
+                "dataset_hash": ws.dataset_hash}
                for report in reports]
-    # --force replaces what this config already recorded for these evals
+    # --force replaces what was already recorded for these evals
     existing = _existing_reports(ws) if force else []
-    replaced = {(r["method"], r["eval_name"], r["config_hash"]) for r in records}
-    kept = [r for r in existing if (r["method"], r["eval_name"], r["config_hash"]) not in replaced]
+    replaced = {(r["method"], r["eval_name"]) for r in records}
+    kept = [r for r in existing if (r["method"], r["eval_name"]) not in replaced]
     if len(kept) < len(existing):
         write_jsonl(ws.path("results.jsonl"), kept + records)
     else:
@@ -444,7 +454,7 @@ def stage_report(ws: Workspace):
         raise ValueError(f"results.jsonl mixes dataset hashes {sorted(hashes)}; "
                          "refusing to compare")
     rows, text, deltas = render_report(accuracy_table(records))
-    write_csv(ws.path("report_table.csv"), rows[0], rows[1:], ws.config_hash)
+    write_csv(ws.path("report_table.csv"), rows[0], rows[1:])
     print(text)
 
     loss_rows = []
@@ -457,6 +467,5 @@ def stage_report(ws: Workspace):
         if os.path.exists(path):
             _, _, rows_ = read_csv(path)
             loss_rows += [(f"contrastive-{mode}", r[0], r[1], r[2]) for r in rows_]
-    write_csv(ws.path("report_losses.csv"), ["stage", "epoch", "batch", "loss"],
-              loss_rows, ws.config_hash)
+    write_csv(ws.path("report_losses.csv"), ["stage", "epoch", "batch", "loss"], loss_rows)
     return text, deltas

@@ -1,7 +1,4 @@
-"""Artifact writers: an interrupted write leaves nothing under the final name.
-
-Also the reader of the config hash every artifact carries.
-"""
+"""Artifact writers: an interrupted write leaves nothing under the final name."""
 
 import hashlib
 
@@ -39,9 +36,9 @@ WRITERS = {
     "save_checkpoint": lambda d: artifacts.save_checkpoint(
         str(d / "ckpt"), {"kind": "test"}, [np.arange(64, dtype=np.float32)]),
     "write_csv": lambda d: artifacts.write_csv(
-        str(d / "t.csv"), ["a", "b"], [(i, i * i) for i in range(64)], "abc"),
+        str(d / "t.csv"), ["a", "b"], [(i, i * i) for i in range(64)]),
     "write_latents_csv": lambda d: artifacts.write_latents_csv(
-        str(d / "latents.bin"), np.ones((16, 8), dtype=np.float32), "abc"),
+        str(d / "latents.bin"), np.ones((16, 8), dtype=np.float32)),
     "write_jsonl": lambda d: artifacts.write_jsonl(
         str(d / "t.jsonl"), [{"i": i} for i in range(64)]),
     "write_json": lambda d: artifacts.write_json(
@@ -75,43 +72,17 @@ def test_interrupted_append_keeps_earlier_records(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
 
 
-def test_stored_hash_reads_every_artifact_format(tmp_path):
-    artifacts.write_csv(str(tmp_path / "t.csv"), ["a"], [(1,)], "c5v")
-    artifacts.write_latents_csv(str(tmp_path / "latents.bin"), np.ones((2, 3)), "1at")
-    artifacts.write_jsonl(str(tmp_path / "t.jsonl"), [{"config_hash": "j51"}, {"x": 1}])
-    artifacts.save_checkpoint(str(tmp_path / "ckpt"), {"config_hash": "j50"}, [np.ones(2)])
-    got = {name: artifacts.stored_hash(str(tmp_path / name))
-           for name in ("t.csv", "latents.json", "t.jsonl", "ckpt.json")}
-    assert got == {"t.csv": "c5v", "latents.json": "1at", "t.jsonl": "j51", "ckpt.json": "j50"}
-
-
-def test_stored_hash_reads_only_the_first_line(tmp_path):
-    # whatever follows the first newline is never decoded
-    (tmp_path / "t.csv").write_bytes(b"# config_hash=abc\n\xff\xfe not text")
-    (tmp_path / "t.jsonl").write_bytes(b'{"config_hash": "abc"}\n{torn')
-    assert artifacts.stored_hash(str(tmp_path / "t.csv")) == "abc"
-    assert artifacts.stored_hash(str(tmp_path / "t.jsonl")) == "abc"
-
-
-@pytest.mark.parametrize("name,content", [
-    ("missing.csv", None),
-    ("t.csv", b"a,b\n1,2\n"),                  # no hash comment
-    ("t.csv", b"\xff\xfe\n"),                  # not text
-    ("t.jsonl", b'{"torn'),
-    ("t.jsonl", b'{"epoch": 1}\n'),             # first record without the field
-    ("t.json", b'["config_hash"]\n'),
-])
-def test_stored_hash_is_none_when_missing_or_unreadable(tmp_path, name, content):
-    if content is not None:
-        (tmp_path / name).write_bytes(content)
-    assert artifacts.stored_hash(str(tmp_path / name)) is None
-
-
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_completed_write_leaves_only_the_artifact(writer, tmp_path):
     WRITERS[writer](tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names and not any(name.endswith(".tmp") for name in names)
+
+
+def test_csv_round_trip(tmp_path):
+    path = str(tmp_path / "t.csv")
+    artifacts.write_csv(path, ["epoch", "loss"], [(1, 0.5), (2, 0.25)])
+    assert artifacts.read_csv(path) == ({}, ["epoch", "loss"], [["1", "0.5"], ["2", "0.25"]])
 
 
 def test_latents_round_trip_bit_exact(tmp_path):
@@ -121,9 +92,9 @@ def test_latents_round_trip_bit_exact(tmp_path):
         [f32.tiny, f32.max, -f32.max, f32.eps],
         [np.float32(1) / 3, -2.5e-7, 123456789.0, 1e-45],
     ], dtype=np.float32)
-    artifacts.write_latents_csv(str(tmp_path / "latents.bin"), latents, "abc")
-    stored, back = artifacts.read_latents_csv(str(tmp_path / "latents.bin"))
-    assert stored == "abc" and back.dtype == np.float32
+    artifacts.write_latents_csv(str(tmp_path / "latents.bin"), latents)
+    back = artifacts.read_latents_csv(str(tmp_path / "latents.bin"))
+    assert back.dtype == np.float32
     assert np.array_equal(back, latents)
     assert np.array_equal(np.signbit(back), np.signbit(latents))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["latents.bin", "latents.json"]
@@ -131,7 +102,7 @@ def test_latents_round_trip_bit_exact(tmp_path):
 
 @pytest.mark.parametrize("missing", ["latents.json", "latents.bin"])
 def test_missing_latents_name_their_producer(tmp_path, missing):
-    artifacts.write_latents_csv(str(tmp_path / "latents.bin"), np.ones((2, 3)), "abc")
+    artifacts.write_latents_csv(str(tmp_path / "latents.bin"), np.ones((2, 3)))
     (tmp_path / missing).unlink()
     with pytest.raises(artifacts.MissingArtifactError, match="run `train-dae` first"):
         artifacts.read_latents_csv(str(tmp_path / "latents.bin"))

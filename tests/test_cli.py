@@ -1,15 +1,21 @@
 """CLI stages: artifact chaining, idempotency, errors, determinism."""
 
+import importlib.util
 import json
+import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gcontrast import contrastive, pipeline
-from gcontrast.cli import main
+from gcontrast import artifacts, contrastive, pipeline
+from gcontrast.artifacts import config_fingerprint
+from gcontrast.cli import STAGE_COMMANDS, main
+from gcontrast.config import load_config
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 TINY = str(CONFIGS / "tiny.ini")
 
 
@@ -24,8 +30,44 @@ def pipeline_dir(tmp_path):
     return run_dir
 
 
+def contents(run_dir):
+    return {p.relative_to(run_dir): p.read_bytes()
+            for p in sorted(Path(run_dir).rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def finished_dir(tmp_path_factory):
+    """tiny.ini `pipeline` in both modes plus `report`, in a directory that
+    already exists and is empty; tests copy it before they change it."""
+    run_dir = tmp_path_factory.mktemp("finished")
+    for argv in (("pipeline", "--mode", "guided"), ("pipeline", "--mode", "random"), ("report",)):
+        assert run(*argv, "--config", TINY, "--run-dir", str(run_dir)) == 0
+    return run_dir
+
+
+def _readme_layout():
+    """The file names README's run-directory table lists, braces expanded."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Run directory layout\n\n```\n", 1)[1].split("```", 1)[0]
+    names = [name for line in block.splitlines() if line and not line[0].isspace()
+             for name in re.split(r"\s{2,}", line)[0].split(", ")]
+
+    def expand(name):
+        brace = re.search(r"\{([^}]*)\}", name)
+        if not brace:
+            return {name}
+        options = ("guided", "random") if brace[1] == "mode" else brace[1].split(",")
+        return set().union(*(expand(name.replace(brace[0], option, 1)) for option in options))
+
+    return set().union(*map(expand, names))
+
+
+def test_readme_layout_names_every_file_of_a_finished_run(finished_dir):
+    assert _readme_layout() == {p.name for p in finished_dir.iterdir()}
+
+
 def test_pipeline_produces_expected_artifacts(pipeline_dir):
-    for name in ("dataset_meta.json", "dae_checkpoint.json", "dae_checkpoint.bin",
+    for name in ("run.json", "dataset_meta.json", "dae_checkpoint.json", "dae_checkpoint.bin",
                  "dae_history.csv", "latents.json", "latents.bin", "pseudo_labels.csv",
                  "plan_guided.jsonl", "contrastive_guided_encoder.json",
                  "contrastive_guided_loss.csv", "results.jsonl"):
@@ -80,13 +122,6 @@ def test_force_recomputes(pipeline_dir, capsys):
     assert "best epoch" in err
 
 
-def test_changed_seed_invalidates_cache(pipeline_dir, capsys):
-    assert run("train-dae", "--config", TINY, "--run-dir", str(pipeline_dir),
-               "--seed", "123") == 0
-    err = capsys.readouterr().err
-    assert "skipping" not in err
-
-
 def _tiny_with(tmp_path, old, new):
     text = Path(TINY).read_text()
     assert old in text
@@ -95,45 +130,74 @@ def _tiny_with(tmp_path, old, new):
     return str(path)
 
 
-@pytest.mark.parametrize("command,old,new,producer", [
-    ("cluster", "k = 8", "k = 4", "train-dae"),
-    ("plan", "k = 8", "k = 4", "cluster"),
-    ("train-contrastive", "k = 8", "k = 4", "cluster"),
-    ("probe", "probe_epochs = 10", "probe_epochs = 3", "train-contrastive --mode guided"),
-    ("finetune", "probe_epochs = 10", "probe_epochs = 3", "train-contrastive --mode guided"),
-])
-def test_stale_upstream_artifact_is_refused(pipeline_dir, tmp_path, capsys,
-                                            command, old, new, producer):
-    # the upstream files were written under tiny.ini's hash, not this config's
-    before = {p.name: p.read_bytes() for p in pipeline_dir.iterdir()}
+def _hash(config):
+    return config_fingerprint(config.to_dict())
+
+
+@pytest.mark.parametrize("variant", ["changed", "changed --force", "seed"])
+@pytest.mark.parametrize("command", STAGE_COMMANDS)
+def test_another_config_is_refused_and_writes_nothing(finished_dir, tmp_path, capsys,
+                                                      command, variant):
+    before = contents(finished_dir)
+    if variant == "seed":
+        config, extra = TINY, ["--seed", "123"]
+    else:
+        config = _tiny_with(tmp_path, "probe_epochs = 10", "probe_epochs = 3")
+        extra = variant.split()[1:]
     capsys.readouterr()
-    rc = run(command, "--config", _tiny_with(tmp_path, old, new),
-             "--run-dir", str(pipeline_dir), "--mode", "guided")
-    assert rc == 1
+    assert run(command, "--config", config, "--run-dir", str(finished_dir), *extra) == 1
     err = capsys.readouterr().err
-    assert "stale artifact" in err and f"run `{producer}` first" in err
-    assert {p.name: p.read_bytes() for p in pipeline_dir.iterdir()} == before
+    other = load_config(config)
+    if variant == "seed":
+        other.seed = 123
+    bound, other = _hash(load_config(TINY)), _hash(other)
+    assert bound != other and bound in err and other in err and "--run-dir" in err
+    assert contents(finished_dir) == before
 
 
-def test_artifact_without_stored_hash_counts_as_stale(pipeline_dir, capsys):
-    history = pipeline_dir / "dae_history.csv"
-    lines = history.read_text().splitlines(keepends=True)
-    assert lines[0].startswith("# config_hash=")
-    history.write_text("".join(lines[1:]))
-    capsys.readouterr()
-    assert run("train-dae", "--config", TINY, "--run-dir", str(pipeline_dir)) == 0
-    err = capsys.readouterr().err
-    assert "skipping" not in err and "best epoch" in err
-    assert history.read_text() == "".join(lines)
+@pytest.mark.parametrize("command", STAGE_COMMANDS)
+def test_used_directory_without_run_json_is_refused(tmp_path, capsys, command):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "results.jsonl").write_text("{}\n")
+    assert run(command, "--config", TINY, "--run-dir", str(run_dir), "--force") == 1
+    assert "no run.json" in capsys.readouterr().err
+    assert [p.name for p in run_dir.iterdir()] == ["results.jsonl"]
 
 
-def test_dataset_meta_is_not_rewritten_by_another_config(pipeline_dir, tmp_path):
-    # it describes the dataset, which the changed key does not touch
+def test_dataset_meta_is_not_rewritten(pipeline_dir, monkeypatch):
+    # it describes the dataset, which one run directory's config fixes
     before = (pipeline_dir / "dataset_meta.json").read_bytes()
-    changed = _tiny_with(tmp_path, "base_lr = 0.05", "base_lr = 0.07")
-    assert run("train-contrastive", "--config", changed, "--run-dir", str(pipeline_dir),
+    renamed, replace = [], os.replace
+    monkeypatch.setattr(artifacts.os, "replace",
+                        lambda src, dst: renamed.append(os.path.basename(dst)) or replace(src, dst))
+    assert run("pipeline", "--config", TINY, "--run-dir", str(pipeline_dir),
+               "--mode", "random") == 0
+    assert run("train-contrastive", "--config", TINY, "--run-dir", str(pipeline_dir),
                "--mode", "random", "--force") == 0
+    assert "plan_random.jsonl" in renamed and "dataset_meta.json" not in renamed
     assert (pipeline_dir / "dataset_meta.json").read_bytes() == before
+
+
+def _comparison_script():
+    spec = importlib.util.spec_from_file_location(
+        "run_comparison", ROOT / "scripts" / "run_comparison.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_run_comparison_refuses_a_reused_root_under_another_config(tmp_path, capsys):
+    script, root = _comparison_script(), tmp_path / "root"
+    assert script.main(["--config", TINY, "--run-root", str(root), "--seeds", "0"]) == 0
+    before = contents(root)
+    changed = _tiny_with(tmp_path, "probe_epochs = 10", "probe_epochs = 3")
+    capsys.readouterr()
+    assert script.main(["--config", changed, "--run-root", str(root), "--seeds", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--run-dir" in captured.err
+    assert captured.out == ""
+    assert contents(root) == before
 
 
 def test_forced_probe_rewrites_results_once(pipeline_dir, monkeypatch):
@@ -181,12 +245,10 @@ probe_epochs = 2
 
 
 def test_plan_jsonl_layout(pipeline_dir):
-    lines = (pipeline_dir / "plan_guided.jsonl").read_text().splitlines()
-    head = json.loads(lines[0])
-    assert "config_hash" in head
-    record = json.loads(lines[1])
-    assert set(record) == {"epoch", "batch_index", "indices"}
-    assert record["epoch"] == 1 and record["batch_index"] == 0
+    records = [json.loads(line) for line in
+               (pipeline_dir / "plan_guided.jsonl").read_text().splitlines()]
+    assert all(set(record) == {"epoch", "batch_index", "indices"} for record in records)
+    assert records[0]["epoch"] == 1 and records[0]["batch_index"] == 0
 
 
 def test_plan_file_holds_the_trained_batches(tmp_path, monkeypatch):
@@ -204,7 +266,7 @@ def test_plan_file_holds_the_trained_batches(tmp_path, monkeypatch):
         trained.clear()
         for command in commands:
             assert run(command, "--config", TINY, "--run-dir", run_dir, "--mode", mode) == 0
-        lines = (tmp_path / "run" / f"plan_{mode}.jsonl").read_text().splitlines()[1:]
+        lines = (tmp_path / "run" / f"plan_{mode}.jsonl").read_text().splitlines()
         on_disk = [(r["epoch"], r["batch_index"], r["indices"]) for r in map(json.loads, lines)]
         assert len(trained) == 2  # tiny.ini trains 2 epochs
         assert on_disk == [(epoch, bi, [int(i) for i in batch])
@@ -217,8 +279,7 @@ def test_results_records_carry_hashes(pipeline_dir):
                (pipeline_dir / "results.jsonl").read_text().splitlines()]
     assert records
     for r in records:
-        assert set(r) == {"method", "eval_name", "accuracy", "seed",
-                          "config_hash", "dataset_hash"}
+        assert set(r) == {"method", "eval_name", "accuracy", "seed", "dataset_hash"}
 
 
 def test_report_refuses_mixed_dataset_hashes(pipeline_dir, capsys):

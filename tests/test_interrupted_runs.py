@@ -2,8 +2,8 @@
 
 Every artifact reaches its final name through one `os.replace` in
 `gcontrast.artifacts`. These tests stop a run right after a chosen
-rename, re-run it, and require the run directory an uninterrupted run
-writes, byte for byte.
+rename, or delete one of its outputs, re-run it, and require the run
+directory an uninterrupted run writes, byte for byte.
 """
 
 import os
@@ -15,7 +15,7 @@ import pytest
 from gcontrast import artifacts
 from gcontrast.cli import main
 
-from test_cli import TINY, _tiny_with
+from test_cli import TINY
 
 MODES = ("guided", "random")
 
@@ -70,26 +70,18 @@ def stop_at(monkeypatch, command, point):
     return renamed[-1]
 
 
-@pytest.mark.parametrize("stage,mode,old,new,hole", [
-    ("train-contrastive", "random", "base_lr = 0.05", "base_lr = 0.07",
-     "contrastive_random_encoder.bin"),
-    ("train-dae", "guided", "sigma = 0.01", "sigma = 0.05", "latents.bin"),
-])
-def test_forced_run_under_another_config_stopped_anywhere_reruns_clean(
-        tmp_path, monkeypatch, stage, mode, old, new, hole):
-    # stopped right after `hole` is renamed, the other config's arrays
-    # would sit under this config's old .json and pass as fresh
+@pytest.mark.parametrize("stage,mode", [("train-contrastive", "random"),
+                                        ("train-dae", "guided")])
+def test_forced_run_stopped_anywhere_reruns_clean(tmp_path, monkeypatch, stage, mode):
     clean = tmp_path / "clean"
     pipeline(TINY, clean, [mode])
     want = contents(clean)
-    changed = _tiny_with(tmp_path, old, new)
 
     def forced(run_dir):
         shutil.copytree(clean, run_dir)
-        return lambda: run(changed, run_dir, stage, "--mode", mode, "--force")
+        return lambda: run(TINY, run_dir, stage, "--mode", mode, "--force")
 
     names = renames_through(monkeypatch, forced(tmp_path / "through"))
-    assert hole in names
     for point in range(len(names)):
         run_dir = tmp_path / f"stop{point}"
         name = stop_at(monkeypatch, forced(run_dir), point)
@@ -107,3 +99,40 @@ def test_pipeline_stopped_after_any_rename_reruns_clean(tmp_path, monkeypatch):
         assert name == names[point]
         pipeline(TINY, run_dir)
         assert contents(run_dir) == want, f"stopped after rename {point}, {name}"
+
+
+# every file a finished run holds, by the stage that writes it; `report`
+# rewrites its two files on every run
+STAGE_OUTPUTS = {
+    "train-dae": {"dae_checkpoint.json", "dae_checkpoint.bin", "dae_history.csv",
+                  "latents.json", "latents.bin"},
+    "cluster": {"pseudo_labels.csv", "cluster_model.json", "cluster_model.bin"},
+    **{f"plan --mode {mode}": {f"plan_{mode}.jsonl"} for mode in MODES},
+    **{f"train-contrastive --mode {mode}": {f"contrastive_{mode}_{part}.{ext}"
+                                            for part in ("encoder", "head")
+                                            for ext in ("json", "bin")}
+       | {f"contrastive_{mode}_loss.csv"} for mode in MODES},
+    "probe, finetune": {"results.jsonl"},
+}
+REPORT_OUTPUTS = {"report_table.csv", "report_losses.csv"}
+# the directory's binding and the dataset description, written by no stage
+WORKSPACE_FILES = {"run.json", "dataset_meta.json"}
+
+
+def test_deleting_any_output_reruns_its_stage_only(tmp_path, monkeypatch):
+    def finish(run_dir):
+        pipeline(TINY, run_dir)
+        run(TINY, run_dir, "report")
+
+    clean = tmp_path / "clean"
+    finish(clean)
+    want = contents(clean)
+    assert set(want) == WORKSPACE_FILES | REPORT_OUTPUTS | set().union(*STAGE_OUTPUTS.values())
+    for stage, outputs in STAGE_OUTPUTS.items():
+        for name in sorted(outputs):
+            run_dir = tmp_path / f"without-{name}"
+            shutil.copytree(clean, run_dir)
+            (run_dir / name).unlink()
+            renamed = renames_through(monkeypatch, lambda: finish(run_dir))
+            assert set(renamed) == outputs | REPORT_OUTPUTS, f"{name} deleted: reran {stage}?"
+            assert contents(run_dir) == want, f"{name} deleted"
