@@ -24,10 +24,8 @@ def sha256_hex(payload: bytes) -> str:
 
 
 def config_fingerprint(config_dict) -> str:
-    """Stable hash of a resolved config, ignoring the runtime mode switch."""
-    scrubbed = json.loads(json.dumps(config_dict))
-    scrubbed.get("scheduler", {}).pop("mode", None)
-    return sha256_hex(json.dumps(scrubbed, sort_keys=True).encode())[:16]
+    """Stable hash of a resolved config."""
+    return sha256_hex(json.dumps(config_dict, sort_keys=True).encode())[:16]
 
 
 def dataset_fingerprint(dataset: ImageDataset) -> str:

@@ -36,8 +36,8 @@ def build_parser():
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="INI config file")
         cmd.add_argument("--run-dir", required=True, help="artifact directory")
-        cmd.add_argument("--mode", choices=("guided", "random"), default=None,
-                         help="batching mode (defaults to the config's scheduler.mode)")
+        cmd.add_argument("--mode", choices=("guided", "random"), default="guided",
+                         help="batching mode (default: guided)")
         cmd.add_argument("--seed", type=int, default=None, help="override the global seed")
         cmd.add_argument("--force", action="store_true",
                          help="recompute even when artifacts are up to date")
@@ -53,22 +53,21 @@ def main(argv=None):
         config = load_config(args.config)
         if args.seed is not None:
             config.seed = args.seed
-        mode = args.mode or config.scheduler.mode
         ws = Workspace(config, args.run_dir)
         if args.command == "train-dae":
             stage_train_dae(ws, force=args.force)
         elif args.command == "cluster":
             stage_cluster(ws, force=args.force)
         elif args.command == "plan":
-            stage_plan(ws, mode, force=args.force)
+            stage_plan(ws, args.mode, force=args.force)
         elif args.command == "train-contrastive":
-            stage_train_contrastive(ws, mode, force=args.force)
+            stage_train_contrastive(ws, args.mode, force=args.force)
         elif args.command == "probe":
-            stage_probe(ws, mode, force=args.force, supervised=args.supervised)
+            stage_probe(ws, args.mode, force=args.force, supervised=args.supervised)
         elif args.command == "finetune":
-            stage_finetune(ws, mode, force=args.force)
+            stage_finetune(ws, args.mode, force=args.force)
         elif args.command == "pipeline":
-            stage_pipeline(ws, mode, force=args.force)
+            stage_pipeline(ws, args.mode, force=args.force)
         elif args.command == "report":
             stage_report(ws)
     except (ConfigError, MissingArtifactError) as err:

@@ -66,7 +66,6 @@ class ClusterSection:
 @dataclass
 class SchedulerSection:
     p: int = 64
-    mode: str = "guided"          # guided | random; runtime-selectable
 
 
 @dataclass
@@ -99,10 +98,7 @@ class RunConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
     def to_dict(self):
-        return {"seed": self.seed, "dataset": asdict(self.dataset),
-                "dae": asdict(self.dae), "cluster": asdict(self.cluster),
-                "scheduler": asdict(self.scheduler),
-                "contrastive": asdict(self.contrastive), "eval": asdict(self.eval)}
+        return asdict(self)
 
 
 def _set_fields(target, names, parser_section, section_name, errors):
@@ -165,6 +161,10 @@ def validate(config: RunConfig):
     d = config.dataset
     check(d.source in ("synthetic", "cifar10"), f"dataset.source: {d.source!r} not in (synthetic, cifar10)")
     check(d.source != "cifar10" or bool(d.path), "dataset.path: required when source is cifar10")
+    check(d.source != "cifar10" or d.image_size == 32,
+          f"dataset.image_size: must be 32 when source is cifar10, got {d.image_size}")
+    check(d.source != "cifar10" or d.channels == 3,
+          f"dataset.channels: must be 3 when source is cifar10, got {d.channels}")
     check(d.subset_size >= 0, f"dataset.subset_size: must be >= 0, got {d.subset_size}")
     check(d.classes >= 2, f"dataset.classes: must be >= 2, got {d.classes}")
     check(d.per_class >= 1, f"dataset.per_class: must be >= 1, got {d.per_class}")
@@ -186,7 +186,6 @@ def validate(config: RunConfig):
 
     s = config.scheduler
     check(s.p >= 2, f"scheduler.p: must be >= 2, got {s.p}")
-    check(s.mode in ("guided", "random"), f"scheduler.mode: {s.mode!r} not in (guided, random)")
 
     t = config.contrastive
     check(t.temperature > 0, f"contrastive.temperature: must be > 0, got {t.temperature}")
@@ -197,6 +196,8 @@ def validate(config: RunConfig):
     e = config.eval
     check(all(p in ("P1", "P2", "P3") for p in e.tap_points),
           f"eval.tap_points: entries must be P1/P2/P3, got {e.tap_points}")
+    check(len(set(e.tap_points)) == len(e.tap_points),
+          f"eval.tap_points: an entry is repeated, got {e.tap_points}")
     check(0 < e.finetune_fraction <= 1, f"eval.finetune_fraction: must be in (0,1], got {e.finetune_fraction}")
     check(0 < e.val_fraction < 1, f"eval.val_fraction: must be in (0,1), got {e.val_fraction}")
     check(e.probe_epochs >= 1, f"eval.probe_epochs: must be >= 1, got {e.probe_epochs}")

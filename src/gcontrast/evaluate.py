@@ -5,7 +5,6 @@ P1 keeps all head layers but the last, P2 keeps only the first, and P3
 reads the backbone feature vector directly.
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,12 +15,6 @@ from .optim import AdamState, TrainingDivergedError, adam_step, fit_early_stoppi
 from .seeds import derive_seed
 from .tensor import NonFiniteError, Tensor, gradients, no_grad
 from .tensor import cross_entropy as softmax_cross_entropy
-
-
-class TapPoint(enum.Enum):
-    P1 = "P1"   # backbone + head minus its final layer
-    P2 = "P2"   # backbone + head minus its final two layers
-    P3 = "P3"   # backbone only
 
 
 # Reference accuracies from full-scale runs (ResNet backbones, complete
@@ -53,7 +46,7 @@ class EvalReport:
 
 
 # head layers each tap point keeps
-_HEAD_DEPTH = {TapPoint.P1: 2, TapPoint.P2: 1, TapPoint.P3: 0}
+_HEAD_DEPTH = {"P1": 2, "P2": 1, "P3": 0}
 
 
 def tap(encoder, head, points):

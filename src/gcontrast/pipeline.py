@@ -44,7 +44,6 @@ from .dae import AutoencoderSpec, build_autoencoder, extract_latents, train_dae
 from .data import load_cifar10, make_synthetic, subset, train_val_split
 from .evaluate import (
     FULL_SCALE_REFERENCE,
-    TapPoint,
     fine_tune_10pct,
     linear_probe,
     supervised_reference,
@@ -341,7 +340,7 @@ def stage_probe(ws: Workspace, mode, force=False, supervised=False):
     reports = []
     if to_run:
         # one backbone pass per split feeds every tap point
-        extract = tap(encoder, head, [TapPoint(p) for p in to_run])
+        extract = tap(encoder, head, to_run)
         features = zip(extract(train_ds.images), extract(val_ds.images))
         for point_name, split_features in zip(to_run, features):
             reports.append(linear_probe(split_features, train_ds, val_ds,

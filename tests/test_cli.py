@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcontrast import artifacts, contrastive, pipeline
+from gcontrast import artifacts, cli, contrastive, pipeline
 from gcontrast.artifacts import config_fingerprint
 from gcontrast.cli import STAGE_COMMANDS, main
 from gcontrast.config import load_config
@@ -104,6 +104,44 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     rc = run("train-dae", "--config", str(bad), "--run-dir", str(tmp_path / "r"))
     assert rc == 1
     assert "cluster.k" in capsys.readouterr().err
+
+
+def test_cifar10_source_with_wrong_image_shape_exits_1_before_any_work(tmp_path, capsys):
+    config = _tiny_with(tmp_path, "source = synthetic", "source = cifar10\npath = batches")
+    rc = run("train-dae", "--config", config, "--run-dir", str(tmp_path / "r"))
+    assert rc == 1
+    assert "dataset.image_size: must be 32" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "train-contrastive", "probe", "finetune",
+                                     "pipeline"])
+def test_mode_defaults_to_guided(tmp_path, monkeypatch, command):
+    modes = []
+    monkeypatch.setattr(cli, "stage_" + command.replace("-", "_"),
+                        lambda ws, mode, **kwargs: modes.append(mode))
+    assert run(command, "--config", TINY, "--run-dir", str(tmp_path / "r")) == 0
+    assert modes == ["guided"]
+
+
+def test_probe_supervised_adds_one_record_then_skips(pipeline_dir, capsys):
+    path = pipeline_dir / "results.jsonl"
+    before = path.read_text().splitlines()
+    argv = ("probe", "--config", TINY, "--run-dir", str(pipeline_dir), "--mode", "guided",
+            "--supervised")
+    assert run(*argv) == 0
+    lines = path.read_text().splitlines()
+    assert lines[:len(before)] == before and len(lines) == len(before) + 1
+    added = json.loads(lines[-1])
+    assert (added["method"], added["eval_name"]) == ("supervised-reference", "supervised")
+    assert run("report", "--config", TINY, "--run-dir", str(pipeline_dir)) == 0
+    table = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    column = table[0].index("supervised")
+    (row,) = [r for r in table if r[0] == "supervised-reference"]
+    assert row[column] == f"{added['accuracy']:.2f}"
+    assert run(*argv) == 0
+    assert "up to date, skipping" in capsys.readouterr().err
+    assert path.read_text().splitlines() == lines
 
 
 def test_rerun_is_noop_without_force(pipeline_dir, capsys):

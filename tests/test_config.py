@@ -1,5 +1,6 @@
 """Config parsing, defaults, and whole-list validation."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -107,10 +108,58 @@ def test_cifar_source_requires_path(tmp_path):
         load_config(bad)
 
 
-def test_config_hash_ignores_mode_but_not_seed():
-    a, b, c = RunConfig(), RunConfig(), RunConfig()
-    b.scheduler.mode = "random"
-    c.seed = 99
-    ha = config_fingerprint(a.to_dict())
-    assert config_fingerprint(b.to_dict()) == ha
-    assert config_fingerprint(c.to_dict()) != ha
+@pytest.mark.parametrize("size, channels, wrong", [(8, 3, "dataset.image_size"),
+                                                   (32, 1, "dataset.channels")])
+def test_cifar_source_requires_cifar_image_shape(tmp_path, size, channels, wrong):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[dataset]\nsource = cifar10\npath = batches\n"
+                   f"image_size = {size}\nchannels = {channels}\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(bad)
+    assert [e.split(":")[0] for e in excinfo.value.errors] == [wrong]
+
+
+def test_repeated_tap_point_reported(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[eval]\ntap_points = P1, P1\n")
+    with pytest.raises(ConfigError, match="eval.tap_points: an entry is repeated"):
+        load_config(bad)
+
+
+def test_removed_mode_key_is_unknown(tmp_path):
+    # the batching mode is chosen per command with --mode
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[scheduler]\nmode = guided\n")
+    with pytest.raises(ConfigError, match=r"^invalid config:\n  scheduler\.mode: unknown key$"):
+        load_config(bad)
+
+
+def _changed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, tuple):
+        return value + value[:1]
+    return value + "x"
+
+
+def _fields(config):
+    """(object, attribute, dotted name) for every field, sections walked."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from ((value, g.name, f"{f.name}.{g.name}") for g in dataclasses.fields(value))
+        else:
+            yield config, f.name, f.name
+
+
+def test_config_hash_covers_every_field():
+    base = config_fingerprint(RunConfig().to_dict())
+    count = len(list(_fields(RunConfig())))
+    for i in range(count):
+        config = RunConfig()
+        owner, name, dotted = list(_fields(config))[i]
+        setattr(owner, name, _changed(getattr(owner, name)))
+        assert config_fingerprint(config.to_dict()) != base, dotted
+    assert count > len(dataclasses.fields(RunConfig))  # the sections were walked

@@ -20,6 +20,7 @@ from gcontrast.contrastive import (
 from gcontrast.cluster import PseudoLabelAssignment
 from gcontrast.data import AugmentationConfig, make_synthetic
 from gcontrast.layers import export_parameters
+from gcontrast.optim import TrainingDivergedError, sgd_cosine_step
 import gcontrast.tensor as tensor_module
 from gcontrast.tensor import Tensor, gradients, no_grad
 
@@ -201,6 +202,25 @@ def test_train_is_guided_exactly_when_given_an_assignment(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(contrastive, "build_random_plan", refuse)
     train_contrastive(ds, config, SMALL_ENCODER, SMALL_HEAD, assignment=assignment)
+
+
+def test_divergence_names_epoch_and_batch_and_keeps_completed_steps(monkeypatch):
+    # 12 images in batches of 4: three steps per epoch
+    ds = make_synthetic(classes=2, per_class=6, image_size=8, seed=3)
+    config = ContrastiveConfig(batch_size=4, epochs=3, seed=0)
+    _, _, undisturbed = train_contrastive(ds, config, SMALL_ENCODER, SMALL_HEAD)
+    steps = []
+
+    def nan_at_epoch_2_batch_1(params, grads, schedule, t):
+        steps.append(None)
+        if len(steps) == 3 + 2:
+            grads = [np.full_like(g, np.nan) for g in grads]
+        return sgd_cosine_step(params, grads, schedule, t)
+
+    monkeypatch.setattr(contrastive, "sgd_cosine_step", nan_at_epoch_2_batch_1)
+    with pytest.raises(TrainingDivergedError, match="epoch 2, batch 1") as excinfo:
+        train_contrastive(ds, config, SMALL_ENCODER, SMALL_HEAD)
+    assert excinfo.value.history.records == undisturbed.records[:4]
 
 
 def test_train_deterministic_weights():

@@ -7,7 +7,6 @@ from gcontrast.contrastive import EncoderSpec, ProjectionHeadSpec, build_encoder
 from gcontrast.data import ImageDataset, make_synthetic, train_val_split
 from gcontrast.evaluate import (
     EvalReport,
-    TapPoint,
     fine_tune_10pct,
     fit_softmax_classifier,
     linear_probe,
@@ -34,7 +33,7 @@ def small_model(seed=0):
 def test_tap_point_dimensions():
     encoder, head = small_model()
     images = make_synthetic(classes=2, per_class=3, image_size=8, seed=0).images
-    p3, p2, p1 = tap(encoder, head, [TapPoint.P3, TapPoint.P2, TapPoint.P1])(images)
+    p3, p2, p1 = tap(encoder, head, ["P3", "P2", "P1"])(images)
     assert p3.shape == (6, 16)
     assert p2.shape == (6, 16)  # w1
     assert p1.shape == (6, 12)  # w2
@@ -43,7 +42,7 @@ def test_tap_point_dimensions():
 def test_tap_p1_equals_manual_composition():
     encoder, head = small_model(seed=3)
     images = make_synthetic(classes=2, per_class=2, image_size=8, seed=1).images
-    (got,) = tap(encoder, head, [TapPoint.P1])(images)
+    (got,) = tap(encoder, head, ["P1"])(images)
     with no_grad():
         manual = head.layers[1](head.layers[0](encoder(Tensor(images))))
     np.testing.assert_allclose(got, manual.data, atol=1e-7)
@@ -53,7 +52,7 @@ def test_tap_of_several_points_matches_one_point_at_a_time():
     # 300 images: the last 256-image chunk is partial
     encoder, head = small_model(seed=4)
     images = make_synthetic(classes=3, per_class=100, image_size=8, seed=2).images
-    points = [TapPoint.P1, TapPoint.P2, TapPoint.P3]
+    points = ["P1", "P2", "P3"]
     together = tap(encoder, head, points)(images)
     assert len(together) == len(points)
     for point, features in zip(points, together):
@@ -105,7 +104,7 @@ def test_linear_probe_leaves_weights_untouched():
     ds = make_synthetic(classes=3, per_class=10, image_size=8, seed=2)
     train, val = train_val_split(ds, 0.2, seed=0)
     before = export_parameters(encoder) + export_parameters(head)
-    extract = tap(encoder, head, [TapPoint.P1])
+    extract = tap(encoder, head, ["P1"])
     (train_x,), (val_x,) = extract(train.images), extract(val.images)
     linear_probe((train_x, val_x), train, val, epochs=3, seed=0)
     after = export_parameters(encoder) + export_parameters(head)
