@@ -121,9 +121,9 @@ def write_latents_csv(path, latents):
     save_checkpoint(path.removesuffix(".bin"), {"kind": "latents"}, [latents])
 
 
-def read_latents_csv(path, producer="train-dae"):
+def read_latents_csv(path):
     """The float32 latents `write_latents_csv` saved."""
-    _, (latents,) = load_checkpoint(path.removesuffix(".bin"), producer)
+    _, (latents,) = load_checkpoint(path.removesuffix(".bin"), "train-dae")
     return latents
 
 

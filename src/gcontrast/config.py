@@ -8,6 +8,8 @@ epochs); everything else is an artifact default documented in README.
 import configparser
 from dataclasses import asdict, dataclass, field
 
+from .dae import AutoencoderSpec
+
 
 class ConfigError(ValueError):
     """Invalid configuration; message lists every violated field."""
@@ -150,8 +152,29 @@ def load_config(path) -> "RunConfig":
     return config
 
 
+def _blocks_errors(key, blocks):
+    """A conv stack's blocks need filters, kernel and stride all >= 1."""
+    bad = [":".join(map(str, b)) for b in blocks if min(b) < 1]
+    return [f"{key}: filters, kernel and stride must be >= 1, got {', '.join(bad)}"] if bad else []
+
+
+def dataset_size_errors(config: RunConfig, n):
+    """Violated keys that must fit a dataset of n images."""
+    errors, subset_size = [], config.dataset.subset_size
+    if subset_size > n:
+        errors.append(f"dataset.subset_size: {subset_size} exceeds the dataset's {n} images")
+    used = subset_size if 0 < subset_size <= n else n
+    if config.cluster.k > used:
+        errors.append(f"cluster.k: {config.cluster.k} exceeds the {used} images it clusters")
+    return errors
+
+
 def validate(config: RunConfig):
-    """Every violated field, not just the first."""
+    """Every violated field, not just the first.
+
+    A cifar10 dataset's size is known only once it is read, so its
+    `dataset_size_errors` are checked then.
+    """
     errors = []
 
     def check(ok, message):
@@ -170,6 +193,8 @@ def validate(config: RunConfig):
     check(d.per_class >= 1, f"dataset.per_class: must be >= 1, got {d.per_class}")
     check(d.image_size >= 2, f"dataset.image_size: must be >= 2, got {d.image_size}")
     check(d.channels >= 1, f"dataset.channels: must be >= 1, got {d.channels}")
+    if d.source == "synthetic":
+        errors.extend(dataset_size_errors(config, d.classes * d.per_class))
 
     a = config.dae
     check(a.sigma >= 0, f"dae.sigma: must be >= 0, got {a.sigma}")
@@ -178,6 +203,13 @@ def validate(config: RunConfig):
     check(0 < a.val_fraction < 1, f"dae.val_fraction: must be in (0,1), got {a.val_fraction}")
     check(a.batch_size >= 1, f"dae.batch_size: must be >= 1, got {a.batch_size}")
     check(a.adam_lr > 0, f"dae.adam_lr: must be > 0, got {a.adam_lr}")
+    block_errors = _blocks_errors("dae.encoder_blocks", a.encoder_blocks)
+    errors.extend(block_errors)
+    if not block_errors:
+        try:
+            AutoencoderSpec(a.encoder_blocks, d.image_size, d.channels).latent_shape()
+        except ValueError as err:
+            errors.append(f"dae.encoder_blocks: {err}")
 
     c = config.cluster
     check(c.k >= 1, f"cluster.k: must be >= 1, got {c.k}")
@@ -192,6 +224,7 @@ def validate(config: RunConfig):
     check(t.epochs >= 1, f"contrastive.epochs: must be >= 1, got {t.epochs}")
     check(t.base_lr > 0, f"contrastive.base_lr: must be > 0, got {t.base_lr}")
     check(len(t.head_widths) == 3, f"contrastive.head_widths: need exactly 3, got {len(t.head_widths)}")
+    errors.extend(_blocks_errors("contrastive.encoder_blocks", t.encoder_blocks))
 
     e = config.eval
     check(all(p in ("P1", "P2", "P3") for p in e.tap_points),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import PseudoLabelAssignment
-from .data import AugmentationConfig, ImageDataset, augment_pair
+from .data import ImageDataset, augment_pair
 from .layers import Conv2D, Dense, GlobalAvgPool, Sequential
 from .optim import CosineSchedule, TrainingDivergedError, sgd_cosine_step
 from .scheduler import build_guided_plan, build_random_plan
@@ -70,7 +70,7 @@ def build_encoder(spec: EncoderSpec, seed) -> Sequential:
     layers, in_ch = [], spec.channels
     for filters, kernel, stride in spec.blocks:
         layers.append(Conv2D(rng, in_ch, filters, kernel=kernel, stride=stride,
-                             padding="same", activation="relu"))
+                             activation="relu"))
         in_ch = filters
     layers.append(GlobalAvgPool())
     return Sequential(layers)
@@ -114,8 +114,8 @@ def nt_xent_loss(embeddings: Tensor, pairing, temperature) -> Tensor:
     return self_similarity_cross_entropy(embeddings.l2_normalize(axis=1), pairing, scale)
 
 
-def forward_pair_batch(encoder, head, batch, dataset: ImageDataset,
-                       aug_config: AugmentationConfig, step_seed) -> Tensor:
+def forward_pair_batch(encoder, head, batch, dataset: ImageDataset, aug_seed,
+                       step_seed) -> Tensor:
     """Augment, encode, and project one batch; rows interleaved by pair.
 
     Row 2m and 2m+1 are the two views of batch[m], L2-normalized.
@@ -123,7 +123,7 @@ def forward_pair_batch(encoder, head, batch, dataset: ImageDataset,
     images = dataset.images
     views = np.empty((2 * len(batch),) + images.shape[1:], dtype=np.float32)
     for pos, idx in enumerate(batch):
-        a, b = augment_pair(images[idx], aug_config, derive_seed(step_seed, pos))
+        a, b = augment_pair(images[idx], aug_seed, derive_seed(step_seed, pos))
         views[2 * pos] = a
         views[2 * pos + 1] = b
     projected = head(encoder(Tensor(views)))
@@ -146,7 +146,7 @@ def train_contrastive(dataset: ImageDataset, config: ContrastiveConfig,
     pseudo-label assignment when one is given and random otherwise;
     labels proper are never touched.
     """
-    aug_config = AugmentationConfig(seed=derive_seed(config.seed, "augment"))
+    aug_seed = derive_seed(config.seed, "augment")
     encoder = build_encoder(encoder_spec, config.seed)
     head = build_head(head_spec, encoder_spec.feature_dim, config.seed)
     params = encoder.params() + head.params()
@@ -167,7 +167,7 @@ def train_contrastive(dataset: ImageDataset, config: ContrastiveConfig,
             step_seed = derive_seed(config.seed, "augment", epoch, bi)
             try:
                 embeddings = forward_pair_batch(encoder, head, batch, dataset,
-                                                aug_config, step_seed)
+                                                aug_seed, step_seed)
                 loss = nt_xent_loss(embeddings, interleaved_pairing(len(batch)),
                                     config.temperature)
                 grads = gradients(loss, params)

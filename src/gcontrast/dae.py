@@ -16,6 +16,8 @@ from .optim import AdamState, TrainingDivergedError, adam_step, fit_early_stoppi
 from .seeds import derive_seed
 from .tensor import NonFiniteError, Tensor, gradients, mse, no_grad
 
+CHUNK = 256  # images per no-grad forward pass in validation and latent extraction
+
 
 @dataclass(frozen=True)
 class AutoencoderSpec:
@@ -64,7 +66,7 @@ def build_autoencoder(spec: AutoencoderSpec, seed) -> Autoencoder:
     enc_layers, in_ch = [], spec.channels
     for filters, kernel, stride in spec.encoder_layers:
         enc_layers.append(Conv2D(rng, in_ch, filters, kernel=kernel, stride=stride,
-                                 padding="same", activation="relu"))
+                                 activation="relu"))
         in_ch = filters
     dec_layers = []
     mirrored = list(spec.encoder_layers)
@@ -72,11 +74,11 @@ def build_autoencoder(spec: AutoencoderSpec, seed) -> Autoencoder:
         f_out = mirrored[i - 1][0]
         _, kernel, stride = mirrored[i]
         dec_layers.append(ConvTranspose2D(rng, in_ch, f_out, kernel=kernel, stride=stride,
-                                          padding="same", activation="relu"))
+                                          activation="relu"))
         in_ch = f_out
     _, kernel, stride = mirrored[0]
     dec_layers.append(ConvTranspose2D(rng, in_ch, spec.channels, kernel=kernel, stride=stride,
-                                      padding="same", activation="linear"))
+                                      activation="linear"))
     return Autoencoder(spec, Sequential(enc_layers), Sequential(dec_layers))
 
 
@@ -98,13 +100,13 @@ def early_stopping_scan(val_losses, patience):
     return best_epoch, len(val_losses)
 
 
-def reconstruction_loss(model, clean, corrupted, batch_size=256):
+def reconstruction_loss(model, clean, corrupted):
     """Mean squared error of model(corrupted) against clean, no gradients."""
     total, count = 0.0, 0
     with no_grad():
-        for start in range(0, len(clean), batch_size):
-            x = clean[start:start + batch_size]
-            xn = corrupted[start:start + batch_size]
+        for start in range(0, len(clean), CHUNK):
+            x = clean[start:start + CHUNK]
+            xn = corrupted[start:start + CHUNK]
             loss = mse(model(Tensor(xn)), Tensor(x))
             total += loss.item() * len(x)
             count += len(x)
@@ -156,11 +158,11 @@ def train_dae(model: Autoencoder, dataset: ImageDataset, sigma=0.01, max_epochs=
         max_epochs, patience)
 
 
-def extract_latents(model: Autoencoder, dataset: ImageDataset, batch_size=256):
+def extract_latents(model: Autoencoder, dataset: ImageDataset):
     """Encoder outputs for every clean image, flattened row-major (n, d)."""
     latents = np.empty((len(dataset), model.spec.latent_dim), dtype=np.float32)
     with no_grad():
-        for start in range(0, len(dataset), batch_size):
-            x = dataset.images[start:start + batch_size]
+        for start in range(0, len(dataset), CHUNK):
+            x = dataset.images[start:start + CHUNK]
             latents[start:start + len(x)] = model.encode(Tensor(x)).data.reshape(len(x), -1)
     return latents

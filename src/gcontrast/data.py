@@ -6,7 +6,7 @@ them.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,11 @@ from .seeds import derive_seed
 RECORD_BYTES = 3073  # 1 label byte + 3 x 1024 channel-plane bytes
 CIFAR_FILES = ["data_batch_1.bin", "data_batch_2.bin", "data_batch_3.bin",
                "data_batch_4.bin", "data_batch_5.bin", "test_batch.bin"]
+
+# SimCLR-style view augmentation: flip, brightness shift, contrast factor
+FLIP_PROB = 0.5
+BRIGHTNESS_DELTA = 0.2
+CONTRAST_RANGE = (0.8, 1.2)
 
 
 class DataFormatError(ValueError):
@@ -101,12 +106,12 @@ def save_cifar10_binary(dataset: ImageDataset, directory):
         start += count
 
 
-def _smooth_field(rng, size, grid=4):
-    """Random low-frequency field: coarse noise, bilinear upsampled."""
-    coarse = rng.uniform(0.0, 1.0, size=(grid, grid))
-    pos = np.linspace(0.0, grid - 1.0, size)
+def _smooth_field(rng, size):
+    """Random low-frequency field: 4x4 coarse noise, bilinear upsampled."""
+    coarse = rng.uniform(0.0, 1.0, size=(4, 4))
+    pos = np.linspace(0.0, 3.0, size)
     lo = np.floor(pos).astype(int)
-    hi = np.minimum(lo + 1, grid - 1)
+    hi = np.minimum(lo + 1, 3)
     frac = pos - lo
     rows = coarse[lo] * (1.0 - frac)[:, None] + coarse[hi] * frac[:, None]
     cols = rows[:, lo] * (1.0 - frac)[None, :] + rows[:, hi] * frac[None, :]
@@ -153,47 +158,29 @@ def add_gaussian_noise(batch, sigma, seed):
     return batch + rng.normal(0.0, sigma, size=batch.shape).astype(np.float32)
 
 
-@dataclass
-class AugmentationConfig:
-    flip_prob: float = 0.5
-    brightness_delta: float = 0.2
-    contrast_range: tuple = (0.8, 1.2)
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.flip_prob <= 1.0:
-            raise ValueError(f"flip_prob must be in [0,1], got {self.flip_prob}")
-        lo, hi = self.contrast_range
-        if lo > hi:
-            raise ValueError(f"contrast_range must be (lo, hi) with lo <= hi, got {self.contrast_range}")
-        if self.brightness_delta < 0:
-            raise ValueError("brightness_delta must be >= 0")
-
-
 def hflip(image):
     """Mirror along the width axis."""
     return np.ascontiguousarray(image[:, ::-1, :])
 
 
-def _one_view(image, config, view_seed):
+def _one_view(image, view_seed):
     rng = np.random.default_rng(view_seed)
-    flip = rng.random() < config.flip_prob
-    shift = rng.uniform(-config.brightness_delta, config.brightness_delta)
-    lo, hi = config.contrast_range
-    factor = rng.uniform(lo, hi)
+    flip = rng.random() < FLIP_PROB
+    shift = rng.uniform(-BRIGHTNESS_DELTA, BRIGHTNESS_DELTA)
+    factor = rng.uniform(*CONTRAST_RANGE)
     mean = image.mean()
     out = np.clip(factor * (image - mean) + mean + shift, 0.0, 1.0).astype(np.float32)
     return hflip(out) if flip else out
 
 
-def augment_pair(image, config: AugmentationConfig, step_seed):
+def augment_pair(image, aug_seed, step_seed):
     """Two independently augmented views of one image.
 
     Each view draws its own flip, brightness shift, and contrast factor
-    from a sub-seed derived from (config.seed, step_seed, view index).
+    from a sub-seed derived from (aug_seed, step_seed, view index).
     """
-    view_a = _one_view(image, config, derive_seed(config.seed, step_seed, 0))
-    view_b = _one_view(image, config, derive_seed(config.seed, step_seed, 1))
+    view_a = _one_view(image, derive_seed(aug_seed, step_seed, 0))
+    view_b = _one_view(image, derive_seed(aug_seed, step_seed, 1))
     return view_a, view_b
 
 

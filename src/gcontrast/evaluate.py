@@ -25,11 +25,6 @@ FULL_SCALE_REFERENCE = {
         "random-baseline": {"P1": 37.69, "P2": 39.4, "P3": 39.92, "finetune": 42.21},
         "guided": {"P1": 38.15, "P2": 41.01, "P3": 40.5, "finetune": 43.1},
     },
-    "imagenet-subset": {
-        "supervised-reference": 67.6,
-        "random-baseline": {"P1": 52.8, "P2": 48.4, "P3": 52.4, "finetune": 49.2},
-        "guided": {"P1": 56.4, "P2": 56.8, "P3": 60.0, "finetune": 56.0},
-    },
 }
 
 
@@ -47,6 +42,7 @@ class EvalReport:
 
 # head layers each tap point keeps
 _HEAD_DEPTH = {"P1": 2, "P2": 1, "P3": 0}
+TAP_CHUNK = 256  # images per backbone pass of a tap extractor
 
 
 def tap(encoder, head, points):
@@ -58,11 +54,11 @@ def tap(encoder, head, points):
     depths = [_HEAD_DEPTH[p] for p in points]
     head_layers = head.layers[:max(depths, default=0)]
 
-    def extract(images, batch_size=256):
+    def extract(images):
         rows = [[] for _ in depths]
         with no_grad():
-            for start in range(0, len(images), batch_size):
-                feats = [encoder(Tensor(images[start:start + batch_size]))]
+            for start in range(0, len(images), TAP_CHUNK):
+                feats = [encoder(Tensor(images[start:start + TAP_CHUNK]))]
                 for layer in head_layers:
                     feats.append(layer(feats[-1]))
                 for out, depth in zip(rows, depths):

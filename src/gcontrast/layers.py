@@ -2,7 +2,8 @@
 
 Initialization is He-uniform ahead of relu activations and
 Glorot-uniform otherwise, drawn from a caller-provided RNG so model
-construction is a pure function of (spec, seed).
+construction is a pure function of (spec, seed). Conv layers pad
+"same".
 """
 
 import numpy as np
@@ -17,9 +18,9 @@ def _fan_limit(fan_in, fan_out, activation):
     return np.sqrt(6.0 / (fan_in + fan_out))
 
 
-def _init(rng, shape, fan_in, fan_out, activation, dtype=np.float32):
+def _init(rng, shape, fan_in, fan_out, activation):
     limit = _fan_limit(fan_in, fan_out, activation)
-    return Tensor(rng.uniform(-limit, limit, size=shape).astype(dtype), requires_grad=True)
+    return Tensor(rng.uniform(-limit, limit, size=shape).astype(np.float32), requires_grad=True)
 
 
 class Layer:
@@ -31,40 +32,36 @@ class Layer:
 
 
 class Conv2D(Layer):
-    def __init__(self, rng, in_channels, filters, kernel=3, stride=1,
-                 padding="same", activation="relu"):
+    def __init__(self, rng, in_channels, filters, kernel=3, stride=1, activation="relu"):
         fan_in = kernel * kernel * in_channels
         fan_out = kernel * kernel * filters
         self.w = _init(rng, (kernel, kernel, in_channels, filters), fan_in, fan_out, activation)
         self.b = Tensor(np.zeros(filters, dtype=np.float32), requires_grad=True)
         self.stride = stride
-        self.padding = padding
         self.activation = activation
 
     def params(self):
         return [self.w, self.b]
 
     def __call__(self, x):
-        return T.conv2d(x, self.w, stride=self.stride, padding=self.padding,
+        return T.conv2d(x, self.w, stride=self.stride, padding="same",
                         bias=self.b, relu=self.activation == "relu")
 
 
 class ConvTranspose2D(Layer):
-    def __init__(self, rng, in_channels, filters, kernel=3, stride=1,
-                 padding="same", activation="relu"):
+    def __init__(self, rng, in_channels, filters, kernel=3, stride=1, activation="relu"):
         fan_in = kernel * kernel * in_channels
         fan_out = kernel * kernel * filters
         self.w = _init(rng, (kernel, kernel, filters, in_channels), fan_in, fan_out, activation)
         self.b = Tensor(np.zeros(filters, dtype=np.float32), requires_grad=True)
         self.stride = stride
-        self.padding = padding
         self.activation = activation
 
     def params(self):
         return [self.w, self.b]
 
     def __call__(self, x):
-        return T.conv2d_transpose(x, self.w, stride=self.stride, padding=self.padding,
+        return T.conv2d_transpose(x, self.w, stride=self.stride, padding="same",
                                   bias=self.b, relu=self.activation == "relu")
 
 
@@ -101,11 +98,6 @@ class Sequential(Layer):
         for layer in self.layers:
             x = layer(x)
         return x
-
-
-def export_parameters(model):
-    """Copy current parameter arrays (for snapshots and checkpoints)."""
-    return [p.data.copy() for p in model.params()]
 
 
 def load_parameters(model, arrays):

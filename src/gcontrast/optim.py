@@ -7,6 +7,8 @@ import numpy as np
 
 from .tensor import NonFiniteError, ShapeError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-7  # Adam's moment decays and denominator guard
+
 
 class TrainingDivergedError(RuntimeError):
     """A value went non-finite at (epoch, batch); carries the history of
@@ -22,9 +24,6 @@ class AdamState:
     """Per-parameter moments plus the shared step counter."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     t: int = 0
@@ -39,14 +38,14 @@ def adam_step(params, grads, state: AdamState):
     """One bias-corrected Adam update; rebinds each parameter's buffer."""
     _check_grads(params, grads, "adam_step")
     state.t += 1
-    b1t = 1.0 - state.beta1 ** state.t
-    b2t = 1.0 - state.beta2 ** state.t
+    b1t = 1.0 - BETA1 ** state.t
+    b2t = 1.0 - BETA2 ** state.t
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
         m_hat = state.m[i] / b1t
         v_hat = state.v[i] / b2t
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
     return params
 
 

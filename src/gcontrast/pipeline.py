@@ -31,7 +31,7 @@ from .artifacts import (
     write_latents_csv,
 )
 from .cluster import PseudoLabelAssignment, assign, kmeans_fit, pseudo_label_table
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, dataset_size_errors
 from .contrastive import (
     ContrastiveConfig,
     EncoderSpec,
@@ -68,7 +68,9 @@ class Workspace:
     The directory belongs to one config: the first command writes its
     hash to `run.json`, and a command under another config, or in a
     directory that holds files but no `run.json`, is refused before it
-    writes anything. So every artifact that exists is current.
+    writes anything. So every artifact that exists is current. A
+    directory holding nothing but `run.json` (its first command failed
+    before writing anything else) is rebound to the current config.
     """
 
     def __init__(self, config: RunConfig, run_dir):
@@ -76,10 +78,10 @@ class Workspace:
         self.run_dir = str(run_dir)
         config_hash = config_fingerprint(config.to_dict())
         bound = self.path("run.json")
-        if os.path.exists(bound):
-            stored = read_json(bound)["config_hash"]
-        elif os.path.isdir(self.run_dir) and os.listdir(self.run_dir):
-            stored = "unknown (it holds files but no run.json)"
+        entries = os.listdir(self.run_dir) if os.path.isdir(self.run_dir) else []
+        if entries and entries != ["run.json"]:
+            stored = (read_json(bound)["config_hash"] if "run.json" in entries
+                      else "unknown (it holds files but no run.json)")
         else:
             os.makedirs(self.run_dir, exist_ok=True)
             write_json(bound, {"config_hash": config_hash})
@@ -119,6 +121,9 @@ def resolve_dataset(config: RunConfig):
     d = config.dataset
     if d.source == "cifar10":
         dataset = load_cifar10(d.path)
+        errors = dataset_size_errors(config, len(dataset))
+        if errors:
+            raise ConfigError(errors)
     else:
         dataset = make_synthetic(classes=d.classes, per_class=d.per_class,
                                  image_size=d.image_size, channels=d.channels,

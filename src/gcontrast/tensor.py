@@ -413,18 +413,15 @@ def _col2im(dcols, n, ho, wo, kh, kw, stride, pt, pl, shape):
 
 
 def _bias_relu(out, bias, relu, op):
-    """Bias add, finite screen and relu on a fresh conv output.
+    """Bias add, finite screen and relu on a fresh conv output, in place.
 
-    The bias goes in place when `out` is C-contiguous and already of the
-    sum's dtype. The screen sits before relu, which would zero a -inf
-    pre-activation.
+    A kernel and its bias are created and updated together, so `out`,
+    whose dtype is at least the kernel's, already has the sum's dtype.
+    The screen sits before relu, which would zero a -inf pre-activation.
     """
     if bias is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            if out.flags.c_contiguous and out.dtype == np.result_type(out, bias.data):
-                out += bias.data
-            else:
-                out = out + bias.data
+            out += bias.data
     _check_finite(out, op)
     if relu:
         np.maximum(out, 0.0, out=out)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcontrast import artifacts, cli, contrastive, pipeline
+from gcontrast import artifacts, cli, contrastive, data, pipeline
 from gcontrast.artifacts import config_fingerprint
 from gcontrast.cli import STAGE_COMMANDS, main
 from gcontrast.config import load_config
@@ -112,6 +112,73 @@ def test_cifar10_source_with_wrong_image_shape_exits_1_before_any_work(tmp_path,
     assert rc == 1
     assert "dataset.image_size: must be 32" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("[dae]\nencoder_blocks = 8:3:2, 16:3:2", "[dae]\nencoder_blocks = 32:3:0",
+     "dae.encoder_blocks: filters, kernel and stride must be >= 1, got 32:3:0"),
+    ("[dae]\nencoder_blocks = 8:3:2, 16:3:2", "[dae]\nencoder_blocks = 8:3:3",
+     "dae.encoder_blocks: encoder layer 0 (filters=8): spatial size 8 not divisible by stride 3"),
+    ("base_lr = 0.05\nencoder_blocks = 8:3:2", "base_lr = 0.05\nencoder_blocks = 8:0:2",
+     "contrastive.encoder_blocks: filters, kernel and stride must be >= 1, got 8:0:2"),
+    ("k = 8", "k = 5000", "cluster.k: 5000 exceeds the 128 images it clusters"),
+    ("channels = 3\n", "channels = 3\nsubset_size = 99999\n",
+     "dataset.subset_size: 99999 exceeds the dataset's 128 images"),
+], ids=["dae-zero-stride", "dae-stride-3", "contrastive-zero-kernel", "k", "subset_size"])
+def test_config_that_cannot_run_exits_1_before_any_work(tmp_path, capsys, old, new, key):
+    config = _tiny_with(tmp_path, old, new)
+    assert run("pipeline", "--config", config, "--run-dir", str(tmp_path / "r")) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == [f"  {key}"]
+    assert not (tmp_path / "r").exists()
+
+
+def _cifar_tiny(tmp_path, name, path, *changes):
+    """tiny.ini reading 32x32 cifar10 batches at `path`, with more changes."""
+    text = Path(TINY).read_text().replace(
+        "source = synthetic\n", f"source = cifar10\npath = {path}\n").replace(
+        "image_size = 8", "image_size = 32")
+    for old, new in changes:
+        assert old in text
+        text = text.replace(old, new)
+    (tmp_path / name).write_text(text)
+    return str(tmp_path / name)
+
+
+@pytest.fixture
+def cifar_batches(tmp_path):
+    """32 images, 8 per class, in the cifar10 binary layout."""
+    path = tmp_path / "batches"
+    data.save_cifar10_binary(data.make_synthetic(4, 8, 32, seed=0), path)
+    return path
+
+
+def test_failed_first_command_leaves_the_directory_to_the_corrected_config(
+        tmp_path, capsys, cifar_batches):
+    run_dir = tmp_path / "r"
+    broken = _cifar_tiny(tmp_path, "broken.ini", tmp_path / "nowhere")
+    assert run("train-dae", "--config", broken, "--run-dir", str(run_dir)) == 2
+    assert "missing batch file data_batch_1.bin" in capsys.readouterr().err
+    assert [p.name for p in run_dir.iterdir()] == ["run.json"]
+    fixed = _cifar_tiny(tmp_path, "fixed.ini", cifar_batches)
+    assert run("train-dae", "--config", fixed, "--run-dir", str(run_dir)) == 0
+    bound = json.loads((run_dir / "run.json").read_text())["config_hash"]
+    assert bound == _hash(load_config(fixed))
+
+
+@pytest.mark.parametrize("change, key", [
+    (("k = 8", "k = 33"), "cluster.k: 33 exceeds the 32 images it clusters"),
+    (("channels = 3\n", "channels = 3\nsubset_size = 33\n"),
+     "dataset.subset_size: 33 exceeds the dataset's 32 images"),
+], ids=["k", "subset_size"])
+def test_cifar10_size_mismatch_exits_1_and_leaves_the_directory_usable(
+        tmp_path, capsys, cifar_batches, change, key):
+    run_dir = tmp_path / "r"
+    too_big = _cifar_tiny(tmp_path, "big.ini", cifar_batches, change)
+    assert run("train-dae", "--config", too_big, "--run-dir", str(run_dir)) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == [f"  {key}"]
+    assert [p.name for p in run_dir.iterdir()] == ["run.json"]
+    fits = _cifar_tiny(tmp_path, "fits.ini", cifar_batches)
+    assert run("train-dae", "--config", fits, "--run-dir", str(run_dir)) == 0
 
 
 @pytest.mark.parametrize("command", ["plan", "train-contrastive", "probe", "finetune",

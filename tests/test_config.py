@@ -126,6 +126,15 @@ def test_repeated_tap_point_reported(tmp_path):
         load_config(bad)
 
 
+def test_dataset_may_be_clustered_whole():
+    # k and subset_size may each equal the image count they are checked against
+    config = load_config(CONFIGS / "tiny.ini")
+    config.cluster.k = config.dataset.subset_size = 128
+    assert validate(config) == []
+    config.dataset.subset_size = 127
+    assert validate(config) == ["cluster.k: 128 exceeds the 127 images it clusters"]
+
+
 def test_removed_mode_key_is_unknown(tmp_path):
     # the batching mode is chosen per command with --mode
     bad = tmp_path / "bad.ini"

@@ -18,8 +18,8 @@ from gcontrast.contrastive import (
     train_contrastive,
 )
 from gcontrast.cluster import PseudoLabelAssignment
-from gcontrast.data import AugmentationConfig, make_synthetic
-from gcontrast.layers import export_parameters
+from gcontrast import data
+from gcontrast.data import make_synthetic
 from gcontrast.optim import TrainingDivergedError, sgd_cosine_step
 import gcontrast.tensor as tensor_module
 from gcontrast.tensor import Tensor, gradients, no_grad
@@ -146,20 +146,20 @@ def test_forward_pair_batch_shapes_and_interleaving():
     head = build_head(SMALL_HEAD, SMALL_ENCODER.feature_dim, seed=1)
     batch = np.array([0, 3, 5])
     with no_grad():
-        out = forward_pair_batch(encoder, head, batch, ds,
-                                 AugmentationConfig(seed=0), step_seed=4)
+        out = forward_pair_batch(encoder, head, batch, ds, 0, step_seed=4)
     assert out.shape == (6, 8)
     np.testing.assert_allclose((out.data ** 2).sum(axis=1), np.ones(6), rtol=1e-5)
 
 
-def test_forward_pair_batch_identity_augmentation_duplicates_rows():
+def test_forward_pair_batch_identity_augmentation_duplicates_rows(monkeypatch):
     ds = make_synthetic(classes=2, per_class=2, image_size=8, seed=1)
     encoder = build_encoder(SMALL_ENCODER, seed=2)
     head = build_head(SMALL_HEAD, SMALL_ENCODER.feature_dim, seed=2)
-    config = AugmentationConfig(flip_prob=0.0, brightness_delta=0.0,
-                                contrast_range=(1.0, 1.0), seed=0)
+    monkeypatch.setattr(data, "FLIP_PROB", 0.0)
+    monkeypatch.setattr(data, "BRIGHTNESS_DELTA", 0.0)
+    monkeypatch.setattr(data, "CONTRAST_RANGE", (1.0, 1.0))
     with no_grad():
-        out = forward_pair_batch(encoder, head, np.array([1, 2]), ds, config, step_seed=0)
+        out = forward_pair_batch(encoder, head, np.array([1, 2]), ds, 0, step_seed=0)
     np.testing.assert_allclose(out.data[0], out.data[1], atol=1e-6)
     np.testing.assert_allclose(out.data[2], out.data[3], atol=1e-6)
 
@@ -168,7 +168,7 @@ def test_forward_pair_batch_row_matches_single_path():
     ds = make_synthetic(classes=2, per_class=3, image_size=8, seed=2)
     encoder = build_encoder(SMALL_ENCODER, seed=3)
     head = build_head(SMALL_HEAD, SMALL_ENCODER.feature_dim, seed=3)
-    aug = AugmentationConfig(seed=9)
+    aug = 9
     from gcontrast.data import augment_pair
     from gcontrast.seeds import derive_seed
     batch = np.array([4, 1])
@@ -232,7 +232,7 @@ def test_train_deterministic_weights():
         config = ContrastiveConfig(batch_size=4, epochs=2, seed=11)
         encoder, head, history = train_contrastive(ds, config, SMALL_ENCODER, SMALL_HEAD,
                                                    assignment=assignment)
-        return export_parameters(encoder) + export_parameters(head), history
+        return [p.data.copy() for p in encoder.params() + head.params()], history
 
     (params_a, hist_a), (params_b, hist_b) = run(), run()
     assert hist_a.records == hist_b.records

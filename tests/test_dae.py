@@ -13,7 +13,6 @@ from gcontrast.dae import (
     train_dae,
 )
 from gcontrast.data import add_gaussian_noise, make_synthetic
-from gcontrast.layers import export_parameters
 from gcontrast.optim import TrainingDivergedError, adam_step
 from gcontrast.seeds import derive_seed
 from gcontrast.tensor import Tensor, no_grad
@@ -51,11 +50,11 @@ def test_build_reconstruction_shape_matches_input():
 def test_build_deterministic_per_seed():
     a = build_autoencoder(SMALL_SPEC, seed=3)
     b = build_autoencoder(SMALL_SPEC, seed=3)
-    for pa, pb in zip(export_parameters(a), export_parameters(b)):
-        assert np.array_equal(pa, pb)
+    for pa, pb in zip(a.params(), b.params()):
+        assert np.array_equal(pa.data, pb.data)
     c = build_autoencoder(SMALL_SPEC, seed=4)
-    assert any(not np.array_equal(pa, pc)
-               for pa, pc in zip(export_parameters(a), export_parameters(c)))
+    assert any(not np.array_equal(pa.data, pc.data)
+               for pa, pc in zip(a.params(), c.params()))
 
 
 def test_early_stopping_injected_sequence():
@@ -151,15 +150,17 @@ def test_latent_matrix_shape_and_row_oracle():
     np.testing.assert_array_equal(latents[3], single)
 
 
-def test_latents_match_concatenated_batches():
-    # the former formula: per-batch rows, concatenated, cast to float32
+def test_latents_match_concatenated_batches(monkeypatch):
+    # the former formula: per-batch rows, concatenated, cast to float32;
+    # 4-image chunks leave a ragged last one
     ds = make_synthetic(classes=2, per_class=5, image_size=8, seed=4)
     model = build_autoencoder(SMALL_SPEC, seed=2)
     with no_grad():
         rows = [model.encode(Tensor(ds.images[s:s + 4])).data.reshape(-1, 32)
                 for s in range(0, len(ds), 4)]
     want = np.concatenate(rows, axis=0).astype(np.float32)
-    got = extract_latents(model, ds, batch_size=4)
+    monkeypatch.setattr(dae, "CHUNK", 4)
+    got = extract_latents(model, ds)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

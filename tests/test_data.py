@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcontrast import data
 from gcontrast.data import (
     CIFAR_FILES,
-    AugmentationConfig,
     DataFormatError,
     ImageDataset,
     add_gaussian_noise,
@@ -128,62 +128,58 @@ def test_hflip_is_involution():
     assert np.array_equal(hflip(hflip(img)), img)
 
 
-def test_identity_parameters_return_input():
-    config = AugmentationConfig(flip_prob=0.0, brightness_delta=0.0,
-                                contrast_range=(1.0, 1.0), seed=0)
+def _set_augmentation(patch, flip_prob, brightness_delta, contrast_range):
+    patch.setattr(data, "FLIP_PROB", flip_prob)
+    patch.setattr(data, "BRIGHTNESS_DELTA", brightness_delta)
+    patch.setattr(data, "CONTRAST_RANGE", contrast_range)
+
+
+def test_identity_parameters_return_input(monkeypatch):
+    _set_augmentation(monkeypatch, 0.0, 0.0, (1.0, 1.0))
     img = make_synthetic(classes=2, per_class=1, image_size=8, seed=4).images[0]
-    a, b = augment_pair(img, config, step_seed=17)
+    a, b = augment_pair(img, 0, step_seed=17)
     np.testing.assert_allclose(a, img, atol=1e-7)
     np.testing.assert_allclose(b, img, atol=1e-7)
 
 
 def test_augment_reproducible_across_runs():
-    config = AugmentationConfig(seed=5)
     img = make_synthetic(classes=2, per_class=1, image_size=8, seed=4).images[0]
-    first = augment_pair(img, config, step_seed=99)
-    second = augment_pair(img, config, step_seed=99)
+    first = augment_pair(img, 5, step_seed=99)
+    second = augment_pair(img, 5, step_seed=99)
     assert image_checksum(first[0]) == image_checksum(second[0])
     assert image_checksum(first[1]) == image_checksum(second[1])
     assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
 
 
-def test_augment_views_use_distinct_subseeds():
-    config = AugmentationConfig(flip_prob=0.0, seed=5)
+def test_augment_views_use_distinct_subseeds(monkeypatch):
+    monkeypatch.setattr(data, "FLIP_PROB", 0.0)
     img = make_synthetic(classes=2, per_class=1, image_size=8, seed=4).images[0]
-    a, b = augment_pair(img, config, step_seed=1)
+    a, b = augment_pair(img, 5, step_seed=1)
     assert not np.array_equal(a, b)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_augmented_outputs_stay_in_unit_range(seed):
-    config = AugmentationConfig(flip_prob=0.5, brightness_delta=0.4,
-                                contrast_range=(0.3, 2.0), seed=seed)
     img = make_synthetic(classes=2, per_class=1, image_size=8, seed=seed % 7).images[0]
-    a, b = augment_pair(img, config, step_seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        _set_augmentation(patch, 0.5, 0.4, (0.3, 2.0))
+        a, b = augment_pair(img, seed, step_seed=seed)
     for view in (a, b):
         assert view.min() >= 0.0 and view.max() <= 1.0
 
 
-def test_flip_decisions_independent_between_views():
+def test_flip_decisions_independent_between_views(monkeypatch):
     # over many draws at flip_prob=0.5, the two views agree about half
     # the time; binomial 99% CI around 500/1000 is roughly +-41
-    config = AugmentationConfig(flip_prob=0.5, brightness_delta=0.0,
-                                contrast_range=(1.0, 1.0), seed=7)
+    _set_augmentation(monkeypatch, 0.5, 0.0, (1.0, 1.0))
     img = np.zeros((4, 4, 3), dtype=np.float32)
     img[:, 0, :] = 1.0  # asymmetric so flips are observable
     agree = 0
     for step in range(1000):
-        a, b = augment_pair(img, config, step_seed=step)
+        a, b = augment_pair(img, 7, step_seed=step)
         agree += np.array_equal(a, b)
     assert 459 <= agree <= 541
-
-
-def test_augmentation_config_validation():
-    with pytest.raises(ValueError):
-        AugmentationConfig(flip_prob=1.5)
-    with pytest.raises(ValueError):
-        AugmentationConfig(contrast_range=(1.2, 0.8))
 
 
 def test_stratified_indices_exact_counts():

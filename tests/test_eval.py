@@ -14,7 +14,7 @@ from gcontrast.evaluate import (
     supervised_reference,
     tap,
 )
-from gcontrast.layers import Dense, export_parameters
+from gcontrast.layers import Dense
 from gcontrast.optim import TrainingDivergedError
 from gcontrast.tensor import Tensor, no_grad
 
@@ -103,11 +103,11 @@ def test_linear_probe_leaves_weights_untouched():
     encoder, head = small_model(seed=5)
     ds = make_synthetic(classes=3, per_class=10, image_size=8, seed=2)
     train, val = train_val_split(ds, 0.2, seed=0)
-    before = export_parameters(encoder) + export_parameters(head)
+    before = [p.data.copy() for p in encoder.params() + head.params()]
     extract = tap(encoder, head, ["P1"])
     (train_x,), (val_x,) = extract(train.images), extract(val.images)
     linear_probe((train_x, val_x), train, val, epochs=3, seed=0)
-    after = export_parameters(encoder) + export_parameters(head)
+    after = [p.data.copy() for p in encoder.params() + head.params()]
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
 
@@ -128,10 +128,10 @@ def test_fine_tune_returns_report_and_trains_encoder():
     encoder, _ = small_model(seed=6)
     ds = make_synthetic(classes=2, per_class=30, image_size=8, seed=4)
     train, val = train_val_split(ds, 0.2, seed=0)
-    before = export_parameters(encoder)
+    before = [p.data.copy() for p in encoder.params()]
     report = fine_tune_10pct(encoder, ENC_SPEC.feature_dim, train, val,
                              fraction=0.2, epochs=5, seed=1, method="guided")
-    after = export_parameters(encoder)
+    after = [p.data.copy() for p in encoder.params()]
     assert isinstance(report, EvalReport)
     assert report.eval_name == "finetune"
     assert any(not np.array_equal(a, b) for a, b in zip(before, after))
