@@ -18,23 +18,35 @@ from gcontrast.config import ConfigError, load_config
 from gcontrast.pipeline import render_report, run_mode_comparison
 
 
+def seed_list(text):
+    """'0,1,2' -> [0, 1, 2]; an empty, non-integer or repeated entry is a usage error."""
+    try:
+        seeds = [int(entry) for entry in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integer seeds") from None
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"{text!r} repeats a seed")
+    return seeds
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", required=True)
     parser.add_argument("--run-root", required=True)
-    parser.add_argument("--seeds", default="0,1,2", help="comma-separated global seeds")
+    parser.add_argument("--seeds", type=seed_list, default="0,1,2",
+                        help="comma-separated distinct integer global seeds (default: 0,1,2)")
     parser.add_argument("--force", action="store_true")
     args = parser.parse_args(argv)
 
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     try:
         config = load_config(args.config)
-        table = run_mode_comparison(config, args.run_root, seeds, force=args.force)
+        table = run_mode_comparison(config, args.run_root, args.seeds, force=args.force)
     except (ConfigError, MissingArtifactError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     _, text, _ = render_report(table)
-    print(f"\nmean validation accuracy over seeds {seeds}")
+    print(f"\nmean validation accuracy over seeds {args.seeds}")
     print(text)
     return 0
 

@@ -9,6 +9,7 @@ import configparser
 from dataclasses import asdict, dataclass, field
 
 from .dae import AutoencoderSpec
+from .data import stratified_count, subset_class_sizes
 
 
 class ConfigError(ValueError):
@@ -158,14 +159,34 @@ def _blocks_errors(key, blocks):
     return [f"{key}: filters, kernel and stride must be >= 1, got {', '.join(bad)}"] if bad else []
 
 
-def dataset_size_errors(config: RunConfig, n):
-    """Violated keys that must fit a dataset of n images."""
-    errors, subset_size = [], config.dataset.subset_size
+def dataset_size_errors(config: RunConfig, class_sizes):
+    """Violated keys that must fit a dataset of {label: images} classes.
+
+    The eval split and the fine-tune subset are counted per class the
+    way `stratified_indices` draws them, from the class sizes the
+    `dataset.subset_size` subset leaves.
+    """
+    errors, subset_size, n = [], config.dataset.subset_size, sum(class_sizes.values())
     if subset_size > n:
         errors.append(f"dataset.subset_size: {subset_size} exceeds the dataset's {n} images")
-    used = subset_size if 0 < subset_size <= n else n
+    elif 0 < subset_size < n:
+        class_sizes = dict(zip(class_sizes, subset_class_sizes(subset_size, len(class_sizes))))
+    used = sum(class_sizes.values())
     if config.cluster.k > used:
         errors.append(f"cluster.k: {config.cluster.k} exceeds the {used} images it clusters")
+    e, short = config.eval, {}  # key -> the first class it leaves short
+    if 0 < e.val_fraction < 1 and 0 < e.finetune_fraction <= 1:  # else a range error
+        for cls, size in class_sizes.items():
+            val = stratified_count(e.val_fraction, size)
+            if not 1 <= val < size:
+                short.setdefault("eval.val_fraction", (
+                    f"{e.val_fraction} splits class {cls}'s {size} images into {val} "
+                    f"validation and {size - val} training images; each needs at least 1"))
+            elif stratified_count(e.finetune_fraction, size - val) < 1:
+                short.setdefault("eval.finetune_fraction", (
+                    f"{e.finetune_fraction} picks no fine-tune image from class {cls}'s "
+                    f"{size - val} training images"))
+    errors.extend(f"{key}: {message}" for key, message in short.items())
     return errors
 
 
@@ -193,8 +214,8 @@ def validate(config: RunConfig):
     check(d.per_class >= 1, f"dataset.per_class: must be >= 1, got {d.per_class}")
     check(d.image_size >= 2, f"dataset.image_size: must be >= 2, got {d.image_size}")
     check(d.channels >= 1, f"dataset.channels: must be >= 1, got {d.channels}")
-    if d.source == "synthetic":
-        errors.extend(dataset_size_errors(config, d.classes * d.per_class))
+    if d.source == "synthetic" and d.per_class >= 1:
+        errors.extend(dataset_size_errors(config, dict.fromkeys(range(d.classes), d.per_class)))
 
     a = config.dae
     check(a.sigma >= 0, f"dae.sigma: must be >= 0, got {a.sigma}")

@@ -17,10 +17,10 @@ import numpy as np
 from .cluster import PseudoLabelAssignment
 from .data import ImageDataset, augment_pair
 from .layers import Conv2D, Dense, GlobalAvgPool, Sequential
-from .optim import CosineSchedule, TrainingDivergedError, sgd_cosine_step
+from .optim import CosineSchedule, run_epoch, sgd_cosine_step
 from .scheduler import build_guided_plan, build_random_plan
 from .seeds import derive_seed
-from .tensor import NonFiniteError, ShapeError, Tensor, gradients, self_similarity_cross_entropy
+from .tensor import ShapeError, Tensor, gradients, self_similarity_cross_entropy
 
 
 @dataclass(frozen=True)
@@ -155,28 +155,22 @@ def train_contrastive(dataset: ImageDataset, config: ContrastiveConfig,
     steps_per_epoch = -(-n // config.batch_size)
     schedule = CosineSchedule(config.base_lr, config.epochs * steps_per_epoch)
     history = LossHistory()
-    step = 0
+
+    def step(epoch, bi, batch):
+        embeddings = forward_pair_batch(encoder, head, batch, dataset, aug_seed,
+                                        derive_seed(config.seed, "augment", epoch, bi))
+        loss = nt_xent_loss(embeddings, interleaved_pairing(len(batch)), config.temperature)
+        # every completed step has its record, so their count is this step's index
+        sgd_cosine_step(params, gradients(loss, params), schedule, len(history.records))
+        value = loss.item()
+        history.records.append((epoch, bi, value))
+        return value
+
     for epoch in range(1, config.epochs + 1):
         seed = config.plan_seed(epoch)
         if assignment is not None:
             plan = build_guided_plan(assignment, p=config.batch_size, epoch_seed=seed)
         else:
             plan = build_random_plan(n, config.batch_size, epoch_seed=seed)
-        epoch_losses = []
-        for bi, batch in enumerate(plan.batches):
-            step_seed = derive_seed(config.seed, "augment", epoch, bi)
-            try:
-                embeddings = forward_pair_batch(encoder, head, batch, dataset,
-                                                aug_seed, step_seed)
-                loss = nt_xent_loss(embeddings, interleaved_pairing(len(batch)),
-                                    config.temperature)
-                grads = gradients(loss, params)
-                sgd_cosine_step(params, grads, schedule, step)
-            except NonFiniteError as err:
-                raise TrainingDivergedError(epoch, bi, err, history) from err
-            step += 1
-            value = loss.item()
-            history.records.append((epoch, bi, value))
-            epoch_losses.append(value)
-        history.epoch_means.append(float(np.mean(epoch_losses)))
+        history.epoch_means.append(float(np.mean(run_epoch(epoch, plan.batches, step, history))))
     return encoder, head, history

@@ -12,9 +12,10 @@ import numpy as np
 
 from .data import ImageDataset, add_gaussian_noise
 from .layers import Conv2D, ConvTranspose2D, Sequential
-from .optim import AdamState, TrainingDivergedError, adam_step, fit_early_stopping
+from .optim import AdamState, adam_step, fit_early_stopping
+from .optim import early_stopping_scan  # noqa: F401  (re-exported: acceptance criterion 6 imports it from here)
 from .seeds import derive_seed
-from .tensor import NonFiniteError, Tensor, gradients, mse, no_grad
+from .tensor import Tensor, gradients, mse, no_grad
 
 CHUNK = 256  # images per no-grad forward pass in validation and latent extraction
 
@@ -82,24 +83,6 @@ def build_autoencoder(spec: AutoencoderSpec, seed) -> Autoencoder:
     return Autoencoder(spec, Sequential(enc_layers), Sequential(dec_layers))
 
 
-def early_stopping_scan(val_losses, patience):
-    """(best_epoch, stopped_epoch), 1-based, for a validation-loss sequence.
-
-    Stops once the loss has failed to improve on the running best for
-    `patience` consecutive epochs.
-    """
-    best = float("inf")
-    best_epoch, since = 0, 0
-    for epoch, value in enumerate(val_losses, start=1):
-        if value < best:
-            best, best_epoch, since = value, epoch, 0
-        else:
-            since += 1
-            if since >= patience:
-                return best_epoch, epoch
-    return best_epoch, len(val_losses)
-
-
 def reconstruction_loss(model, clean, corrupted):
     """Mean squared error of model(corrupted) against clean, no gradients."""
     total, count = 0.0, 0
@@ -136,26 +119,16 @@ def train_dae(model: Autoencoder, dataset: ImageDataset, sigma=0.01, max_epochs=
     params = model.params()
     state = AdamState.init(params, lr=adam_lr)
 
-    def train_epoch(epoch):
-        order = train_idx.copy()
-        np.random.default_rng(derive_seed(seed, "dae-shuffle", epoch)).shuffle(order)
-        epoch_loss, seen = 0.0, 0
-        for bi, start in enumerate(range(0, len(order), batch_size)):
-            batch = order[start:start + batch_size]
-            x = dataset.images[batch]
-            xn = add_gaussian_noise(x, sigma, derive_seed(seed, "dae-noise", epoch, bi))
-            try:
-                loss = mse(model(Tensor(xn)), Tensor(x))
-                adam_step(params, gradients(loss, params), state)
-            except NonFiniteError as err:
-                raise TrainingDivergedError(epoch, bi, err) from err
-            epoch_loss += loss.item() * len(batch)
-            seen += len(batch)
-        return epoch_loss / seen
+    def step(epoch, bi, batch):
+        x = dataset.images[batch]
+        xn = add_gaussian_noise(x, sigma, derive_seed(seed, "dae-noise", epoch, bi))
+        loss = mse(model(Tensor(xn)), Tensor(x))
+        adam_step(params, gradients(loss, params), state)
+        return loss.item()
 
     return model, fit_early_stopping(
-        params, train_epoch, lambda: reconstruction_loss(model, val_clean, val_corrupted),
-        max_epochs, patience)
+        params, train_idx, batch_size, lambda epoch: derive_seed(seed, "dae-shuffle", epoch),
+        step, lambda: reconstruction_loss(model, val_clean, val_corrupted), max_epochs, patience)
 
 
 def extract_latents(model: Autoencoder, dataset: ImageDataset):

@@ -190,6 +190,18 @@ def subset(dataset: ImageDataset, indices) -> ImageDataset:
                         source=dataset.source, num_classes=dataset.num_classes)
 
 
+def stratified_count(fraction, class_size):
+    """Images stratified_indices draws from a class of `class_size`."""
+    return int(round(fraction * class_size))
+
+
+def subset_class_sizes(size, num_classes):
+    """Per-class image counts of an exact stratified subset of `size`
+    images: as even as possible, the first classes taking the remainder."""
+    base, rem = divmod(size, num_classes)
+    return [base + (1 if i < rem else 0) for i in range(num_classes)]
+
+
 def stratified_indices(labels, fraction, seed):
     """Per-class deterministic draw of round(fraction * class size) indices.
 
@@ -201,7 +213,7 @@ def stratified_indices(labels, fraction, seed):
     rng = np.random.default_rng(seed)
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
-        count = int(round(fraction * len(members)))
+        count = stratified_count(fraction, len(members))
         if count < 1:
             raise ValueError(f"fraction {fraction} leaves class {cls} with zero examples")
         perm = rng.permutation(len(members))

@@ -11,9 +11,9 @@ import numpy as np
 
 from .data import ImageDataset, stratified_indices
 from .layers import Dense
-from .optim import AdamState, TrainingDivergedError, adam_step, fit_early_stopping
+from .optim import AdamState, adam_step, fit_early_stopping
 from .seeds import derive_seed
-from .tensor import NonFiniteError, Tensor, gradients, no_grad
+from .tensor import Tensor, gradients, no_grad
 from .tensor import cross_entropy as softmax_cross_entropy
 
 
@@ -89,17 +89,11 @@ def fit_softmax_classifier(forward, params, train_inputs, train_labels,
     raises TrainingDivergedError.
     """
     state = AdamState.init(params, lr=lr)
-    n = len(train_inputs)
 
-    def train_epoch(epoch):
-        order = np.random.default_rng(derive_seed(seed, "clf-shuffle", epoch)).permutation(n)
-        for bi, start in enumerate(range(0, n, batch_size)):
-            batch = order[start:start + batch_size]
-            try:
-                loss = softmax_cross_entropy(forward(train_inputs[batch]), train_labels[batch])
-                adam_step(params, gradients(loss, params), state)
-            except NonFiniteError as err:
-                raise TrainingDivergedError(epoch, bi, err) from err
+    def step(epoch, bi, batch):
+        loss = softmax_cross_entropy(forward(train_inputs[batch]), train_labels[batch])
+        adam_step(params, gradients(loss, params), state)
+        return loss.item()
 
     accuracies = []  # each epoch's, so the best epoch needs no second validation pass
 
@@ -116,7 +110,9 @@ def fit_softmax_classifier(forward, params, train_inputs, train_labels,
         accuracies.append(_accuracy_percent(np.concatenate(chunks, axis=0), val_labels))
         return float(np.average(val_losses, weights=counts))
 
-    history = fit_early_stopping(params, train_epoch, val_loss, epochs, patience)
+    history = fit_early_stopping(
+        params, len(train_inputs), batch_size, lambda epoch: derive_seed(seed, "clf-shuffle", epoch),
+        step, val_loss, epochs, patience)
     return accuracies[history.best_epoch - 1]
 
 

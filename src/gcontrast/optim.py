@@ -1,4 +1,5 @@
-"""Adam and SGD-with-cosine-decay parameter updates, and early stopping."""
+"""Adam and SGD-with-cosine-decay parameter updates, the training step loop,
+the early-stopping patience rule, and divergence errors."""
 
 import math
 from dataclasses import dataclass, field
@@ -86,6 +87,37 @@ def _check_grads(params, grads, op):
             raise NonFiniteError(f"{op}: gradient {i} (shape {g.shape}) has {bad} non-finite entries")
 
 
+def run_epoch(epoch, batches, step, history):
+    """The values of step(epoch, batch_index, batch) over the batches, in
+    order. A non-finite value inside a step is raised as
+    TrainingDivergedError at (epoch, batch_index), carrying `history`."""
+    values = []
+    for bi, batch in enumerate(batches):
+        try:
+            values.append(step(epoch, bi, batch))
+        except NonFiniteError as err:
+            raise TrainingDivergedError(epoch, bi, err, history) from err
+    return values
+
+
+def _patience_scan(val_losses, patience):
+    """(best_epoch, the epoch patience ran out at or None), 1-based."""
+    best, best_epoch = math.inf, 0
+    for epoch, value in enumerate(val_losses, start=1):
+        if value < best:
+            best, best_epoch = value, epoch
+        elif epoch - best_epoch >= patience:
+            return best_epoch, epoch
+    return best_epoch, None
+
+
+def early_stopping_scan(val_losses, patience):
+    """(best_epoch, stopped_epoch), 1-based: stopped once the loss has failed to
+    improve on its running best for `patience` epochs in a row, else at the last."""
+    best_epoch, stopped = _patience_scan(val_losses, patience)
+    return best_epoch, stopped or len(val_losses)
+
+
 @dataclass
 class TrainHistory:
     train_loss: list = field(default_factory=list)   # one entry per epoch, 1-based
@@ -94,36 +126,38 @@ class TrainHistory:
     stopped_epoch: int = 0
 
 
-def fit_early_stopping(params, train_epoch, val_loss, max_epochs, patience) -> TrainHistory:
-    """Alternate train_epoch(epoch), whose result is recorded as the epoch's
-    training loss, and val_loss() until the validation loss fails to improve
-    on its best for `patience` epochs in a row; then restore the best
-    epoch's parameter values.
+def fit_early_stopping(params, rows, batch_size, shuffle_seed, step, val_loss,
+                       max_epochs, patience) -> TrainHistory:
+    """Shuffled-minibatch epochs until the validation loss runs out of
+    patience (see early_stopping_scan); then restore the best epoch's
+    parameter values.
 
-    Divergence in either, raised as TrainingDivergedError (a non-finite
-    validation pass as batch "validation"), carries every completed epoch.
+    Epoch e runs step(e, batch_index, batch), which returns the batch's
+    loss, over `batch_size` slices of default_rng(shuffle_seed(e))
+    .permutation(rows), then val_loss(). Divergence in either, raised as
+    TrainingDivergedError (a non-finite validation pass as batch
+    "validation"), carries every completed epoch.
     """
     history = TrainHistory()
-    best_val, best_data, since = math.inf, None, 0
+    best_data = None
     for epoch in range(1, max_epochs + 1):
+        order = np.random.default_rng(shuffle_seed(epoch)).permutation(rows)
+        batches = [order[start:start + batch_size] for start in range(0, len(order), batch_size)]
+        total = 0.0  # summed in batch order: the epoch loss is part of the DAE's artifacts
+        for loss, batch in zip(run_epoch(epoch, batches, step, history), batches):
+            total += loss * len(batch)
         try:
-            train = train_epoch(epoch)
             val = val_loss()
-        except TrainingDivergedError as err:
-            err.history = history
-            raise
         except NonFiniteError as err:
             raise TrainingDivergedError(epoch, "validation", err, history) from err
-        history.train_loss.append(train)
+        history.train_loss.append(total / len(order))
         history.val_loss.append(val)
         history.stopped_epoch = epoch
-        if val < best_val:
-            best_val, best_data, since = val, [p.data.copy() for p in params], 0
-            history.best_epoch = epoch
-        else:
-            since += 1
-            if since >= patience:
-                break
+        history.best_epoch, stopped = _patience_scan(history.val_loss, patience)
+        if history.best_epoch == epoch:
+            best_data = [p.data.copy() for p in params]
+        if stopped:
+            break
     if best_data is not None:
         for p, data in zip(params, best_data):
             p.data = data

@@ -41,7 +41,7 @@ from .contrastive import (
     train_contrastive,
 )
 from .dae import AutoencoderSpec, build_autoencoder, extract_latents, train_dae
-from .data import load_cifar10, make_synthetic, subset, train_val_split
+from .data import load_cifar10, make_synthetic, subset, subset_class_sizes, train_val_split
 from .evaluate import (
     FULL_SCALE_REFERENCE,
     fine_tune_10pct,
@@ -121,7 +121,8 @@ def resolve_dataset(config: RunConfig):
     d = config.dataset
     if d.source == "cifar10":
         dataset = load_cifar10(d.path)
-        errors = dataset_size_errors(config, len(dataset))
+        errors = dataset_size_errors(config, dict(zip(*np.unique(dataset.labels,
+                                                                  return_counts=True))))
         if errors:
             raise ConfigError(errors)
     else:
@@ -140,12 +141,10 @@ def _exact_stratified_subset(labels, size, seed):
     """Exactly `size` indices, spread as evenly as possible over classes."""
     labels = np.asarray(labels)
     classes = np.unique(labels)
-    base, rem = divmod(size, len(classes))
     rng = np.random.default_rng(seed)
     chosen = []
-    for i, cls in enumerate(classes):
+    for cls, want in zip(classes, subset_class_sizes(size, len(classes))):
         members = np.flatnonzero(labels == cls)
-        want = base + (1 if i < rem else 0)
         if want > len(members):
             raise ValueError(f"class {cls} has only {len(members)} members, need {want}")
         perm = rng.permutation(len(members))

@@ -22,7 +22,6 @@ class PlanValidationError(ValueError):
 @dataclass
 class BatchPlan:
     batches: list                # list of int64 arrays
-    batch_size: int
     epoch_seed: int
 
     @property
@@ -49,7 +48,7 @@ def build_guided_plan(assignment: PseudoLabelAssignment, p=64, epoch_seed=0) -> 
     labels = assignment.labels
     n = len(labels)
     if n == 0:
-        return BatchPlan(batches=[], batch_size=p, epoch_seed=epoch_seed)
+        return BatchPlan(batches=[], epoch_seed=epoch_seed)
     k = len(assignment.counts)
     rng = np.random.default_rng(derive_seed(epoch_seed, "guided-plan"))
     members = []
@@ -76,7 +75,7 @@ def build_guided_plan(assignment: PseudoLabelAssignment, p=64, epoch_seed=0) -> 
             remaining[cluster] -= 1
             total -= 1
         batches.append(np.array(batch, dtype=np.int64))
-    return BatchPlan(batches=batches, batch_size=p, epoch_seed=epoch_seed)
+    return BatchPlan(batches=batches, epoch_seed=epoch_seed)
 
 
 def build_random_plan(n, p, epoch_seed=0) -> BatchPlan:
@@ -86,7 +85,7 @@ def build_random_plan(n, p, epoch_seed=0) -> BatchPlan:
     rng = np.random.default_rng(derive_seed(epoch_seed, "random-plan"))
     perm = rng.permutation(n).astype(np.int64)
     batches = [perm[start:start + p] for start in range(0, n, p)]
-    return BatchPlan(batches=batches, batch_size=p, epoch_seed=epoch_seed)
+    return BatchPlan(batches=batches, epoch_seed=epoch_seed)
 
 
 def validate_plan(plan: BatchPlan, assignment: PseudoLabelAssignment) -> PlanDiagnostics:

@@ -124,11 +124,31 @@ def test_cifar10_source_with_wrong_image_shape_exits_1_before_any_work(tmp_path,
     ("k = 8", "k = 5000", "cluster.k: 5000 exceeds the 128 images it clusters"),
     ("channels = 3\n", "channels = 3\nsubset_size = 99999\n",
      "dataset.subset_size: 99999 exceeds the dataset's 128 images"),
-], ids=["dae-zero-stride", "dae-stride-3", "contrastive-zero-kernel", "k", "subset_size"])
+    ("finetune_fraction = 0.10", "finetune_fraction = 0.01",
+     "eval.finetune_fraction: 0.01 picks no fine-tune image from class 0's 24 training images"),
+], ids=["dae-zero-stride", "dae-stride-3", "contrastive-zero-kernel", "k", "subset_size",
+        "finetune_fraction"])
 def test_config_that_cannot_run_exits_1_before_any_work(tmp_path, capsys, old, new, key):
     config = _tiny_with(tmp_path, old, new)
     assert run("pipeline", "--config", config, "--run-dir", str(tmp_path / "r")) == 1
     assert capsys.readouterr().err.splitlines()[1:] == [f"  {key}"]
+    assert not (tmp_path / "r").exists()
+
+
+def test_subset_that_empties_an_eval_class_exits_1_before_any_work(tmp_path, capsys):
+    # 6 images over 4 classes leave classes of 2, 2, 1 and 1 images, and a
+    # quarter of 2 rounds to no validation image
+    text = Path(TINY).read_text()
+    for old, new in (("channels = 3\n", "channels = 3\nsubset_size = 6\n"),
+                     ("k = 8", "k = 2"), ("p = 8", "p = 2")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    (tmp_path / "subset.ini").write_text(text)
+    assert run("pipeline", "--config", str(tmp_path / "subset.ini"),
+               "--run-dir", str(tmp_path / "r")) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "  eval.val_fraction: 0.25 splits class 0's 2 images into 0 validation and 2 "
+        "training images; each needs at least 1"]
     assert not (tmp_path / "r").exists()
 
 
@@ -169,7 +189,12 @@ def test_failed_first_command_leaves_the_directory_to_the_corrected_config(
     (("k = 8", "k = 33"), "cluster.k: 33 exceeds the 32 images it clusters"),
     (("channels = 3\n", "channels = 3\nsubset_size = 33\n"),
      "dataset.subset_size: 33 exceeds the dataset's 32 images"),
-], ids=["k", "subset_size"])
+    (("val_fraction = 0.25", "val_fraction = 0.05"),
+     "eval.val_fraction: 0.05 splits class 0's 8 images into 0 validation and 8 training "
+     "images; each needs at least 1"),
+    (("finetune_fraction = 0.10", "finetune_fraction = 0.05"),
+     "eval.finetune_fraction: 0.05 picks no fine-tune image from class 0's 6 training images"),
+], ids=["k", "subset_size", "val_fraction", "finetune_fraction"])
 def test_cifar10_size_mismatch_exits_1_and_leaves_the_directory_usable(
         tmp_path, capsys, cifar_batches, change, key):
     run_dir = tmp_path / "r"
@@ -303,6 +328,17 @@ def test_run_comparison_refuses_a_reused_root_under_another_config(tmp_path, cap
     assert captured.err.startswith("error: ") and "--run-dir" in captured.err
     assert captured.out == ""
     assert contents(root) == before
+
+
+@pytest.mark.parametrize("seeds", ["", "0,a", "0,,1", "1,0,1"])
+def test_run_comparison_refuses_a_bad_seed_list_with_usage(tmp_path, capsys, seeds):
+    root = tmp_path / "root"
+    with pytest.raises(SystemExit) as excinfo:
+        _comparison_script().main(["--config", TINY, "--run-root", str(root), "--seeds", seeds])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "error: argument --seeds: " in err
+    assert not root.exists()
 
 
 def test_forced_probe_rewrites_results_once(pipeline_dir, monkeypatch):

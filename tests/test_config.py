@@ -1,12 +1,16 @@
 """Config parsing, defaults, and whole-list validation."""
 
 import dataclasses
+import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gcontrast.artifacts import config_fingerprint
-from gcontrast.config import ConfigError, RunConfig, load_config, validate
+from gcontrast.config import ConfigError, RunConfig, dataset_size_errors, load_config, validate
+from gcontrast.data import stratified_indices, train_val_split
+from gcontrast.pipeline import resolve_dataset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -172,3 +176,33 @@ def test_config_hash_covers_every_field():
         setattr(owner, name, _changed(getattr(owner, name)))
         assert config_fingerprint(config.to_dict()) != base, dotted
     assert count > len(dataclasses.fields(RunConfig))  # the sections were walked
+
+
+def _splits_every_class(config):
+    """Whether the pipeline's eval split and fine-tune subset, drawn for
+    real, leave every class a validation, training and fine-tune image."""
+    dataset = resolve_dataset(config)
+    try:
+        train, _ = train_val_split(dataset, config.eval.val_fraction, seed=0)
+        stratified_indices(train.labels, config.eval.finetune_fraction, seed=0)
+    except ValueError:
+        return False
+    return len(np.unique(train.labels)) == len(np.unique(dataset.labels))
+
+
+def test_eval_fraction_errors_match_the_splits_the_pipeline_draws():
+    outcomes = set()
+    for classes, per_class, subset_size, val_fraction, finetune_fraction in itertools.product(
+            (2, 3), (1, 2, 3, 5), (0, 3, 5, 7), (0.2, 0.5, 0.75), (0.1, 0.5, 1.0)):
+        config = RunConfig()
+        d, e = config.dataset, config.eval
+        d.classes, d.per_class, d.subset_size, d.image_size = classes, per_class, subset_size, 4
+        config.cluster.k = 1
+        e.val_fraction, e.finetune_fraction = val_fraction, finetune_fraction
+        errors = dataset_size_errors(config, dict.fromkeys(range(classes), per_class))
+        if subset_size > classes * per_class:
+            continue
+        fits = not any(err.startswith("eval.") for err in errors)
+        assert fits == _splits_every_class(config), (config.dataset, config.eval, errors)
+        outcomes.add(fits)
+    assert outcomes == {True, False}

@@ -1,15 +1,17 @@
-"""Adam and cosine-schedule SGD updates, and the early-stopping loop."""
+"""Adam and cosine-schedule SGD updates, the step loop, and early stopping."""
 
 import numpy as np
 import pytest
 
-from gcontrast.dae import early_stopping_scan
+from gcontrast import dae
 from gcontrast.optim import (
     AdamState,
     CosineSchedule,
     TrainingDivergedError,
     adam_step,
+    early_stopping_scan,
     fit_early_stopping,
+    run_epoch,
     sgd_cosine_step,
 )
 from gcontrast.tensor import NonFiniteError, ShapeError, Tensor
@@ -96,16 +98,16 @@ def test_sgd_cosine_step_applies_scheduled_rate():
 
 
 def _epoch_tagging_run(val_losses, patience, max_epochs):
-    # each epoch sets the parameter to its own number, so the restored
-    # value names the epoch whose weights were kept
+    # each epoch's one step sets the parameter to the epoch's number, so
+    # the restored value names the epoch whose weights were kept
     p = Tensor(np.array([0.0]), requires_grad=True)
 
-    def train_epoch(epoch):
+    def step(epoch, bi, batch):
         p.data = np.array([float(epoch)])
         return 10.0 * epoch
 
-    return p, fit_early_stopping([p], train_epoch, lambda: val_losses[int(p.data[0]) - 1],
-                                 max_epochs, patience)
+    return p, fit_early_stopping([p], 1, 1, lambda epoch: epoch, step,
+                                 lambda: val_losses[int(p.data[0]) - 1], max_epochs, patience)
 
 
 def test_fit_early_stopping_restores_best_epoch():
@@ -126,7 +128,7 @@ def test_fit_early_stopping_runs_to_max_epochs():
 def test_fit_early_stopping_reports_validation_divergence():
     p = Tensor(np.array([0.0]), requires_grad=True)
 
-    def train_epoch(epoch):
+    def step(epoch, bi, batch):
         p.data = np.array([float(epoch)])
         return 0.0
 
@@ -136,5 +138,41 @@ def test_fit_early_stopping_reports_validation_divergence():
         return 1.0
 
     with pytest.raises(TrainingDivergedError, match="epoch 2, batch validation") as excinfo:
-        fit_early_stopping([p], train_epoch, val_loss, max_epochs=5, patience=5)
+        fit_early_stopping([p], 1, 1, lambda epoch: epoch, step, val_loss,
+                           max_epochs=5, patience=5)
     assert excinfo.value.history.val_loss == [1.0]
+
+
+def test_fit_early_stopping_shuffles_rows_into_batches_and_weights_the_epoch_loss():
+    p = Tensor(np.array([0.0]), requires_grad=True)
+    seen = []
+
+    def step(epoch, bi, batch):
+        seen.append((epoch, bi, batch.tolist()))
+        return float(len(batch))  # epoch loss: (2*2 + 2*2 + 1*1) / 5
+
+    history = fit_early_stopping([p], np.arange(10, 15), 2, lambda epoch: 7 + epoch, step,
+                                 lambda: 1.0, max_epochs=2, patience=5)
+    for epoch in (1, 2):
+        order = np.random.default_rng(7 + epoch).permutation(np.arange(10, 15)).tolist()
+        assert [s for s in seen if s[0] == epoch] == [
+            (epoch, 0, order[:2]), (epoch, 1, order[2:4]), (epoch, 2, order[4:])]
+    assert history.train_loss == [9.0 / 5, 9.0 / 5]
+
+
+def test_run_epoch_names_the_diverged_batch_and_carries_the_history():
+    def step(epoch, bi, batch):
+        if bi == 2:
+            raise NonFiniteError("conv2d: produced non-finite values")
+        return 10 * epoch + batch
+
+    history = object()
+    assert run_epoch(4, [5, 6], step, history) == [45, 46]
+    with pytest.raises(TrainingDivergedError, match="epoch 4, batch 2: conv2d") as excinfo:
+        run_epoch(4, [5, 6, 7], step, history)
+    assert excinfo.value.history is history
+    assert isinstance(excinfo.value.__cause__, NonFiniteError)
+
+
+def test_the_dae_module_keeps_the_one_early_stopping_scan():
+    assert dae.early_stopping_scan is early_stopping_scan

@@ -106,7 +106,7 @@ def test_random_plan_positionwise_uniform():
 
 def test_validate_plan_counts_single_violation():
     assignment = assignment_from_labels([3, 3, 1, 2])
-    plan = BatchPlan(batches=[np.array([0, 1]), np.array([2, 3])], batch_size=2, epoch_seed=0)
+    plan = BatchPlan(batches=[np.array([0, 1]), np.array([2, 3])], epoch_seed=0)
     diag = validate_plan(plan, assignment)
     assert diag.violations == 1
     assert diag.distinct_per_batch == [1, 2]
@@ -114,14 +114,14 @@ def test_validate_plan_counts_single_violation():
 
 def test_validate_plan_rejects_repeats_and_missing():
     assignment = assignment_from_labels([0, 1, 0, 1])
-    plan = BatchPlan(batches=[np.array([0, 0]), np.array([1, 2])], batch_size=2, epoch_seed=0)
+    plan = BatchPlan(batches=[np.array([0, 0]), np.array([1, 2])], epoch_seed=0)
     with pytest.raises(PlanValidationError, match=r"repeated \[0\], missing \[3\]"):
         validate_plan(plan, assignment)
 
 
 def test_validate_plan_rejects_out_of_range():
     assignment = assignment_from_labels([0, 1])
-    plan = BatchPlan(batches=[np.array([0, 7])], batch_size=2, epoch_seed=0)
+    plan = BatchPlan(batches=[np.array([0, 7])], epoch_seed=0)
     with pytest.raises(PlanValidationError, match="out-of-range"):
         validate_plan(plan, assignment)
 
