@@ -13,9 +13,8 @@ for context.
 import argparse
 import sys
 
-from gcontrast.artifacts import MissingArtifactError
 from gcontrast.config import ConfigError, load_config
-from gcontrast.pipeline import render_report, run_mode_comparison
+from gcontrast.pipeline import MissingArtifactError, render_report, run_mode_comparison
 
 
 def seed_list(text):

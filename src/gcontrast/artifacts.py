@@ -15,10 +15,6 @@ import numpy as np
 from .data import ImageDataset
 
 
-class MissingArtifactError(FileNotFoundError):
-    """A required upstream artifact is absent; names the producing command."""
-
-
 def sha256_hex(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
@@ -41,13 +37,6 @@ def dataset_fingerprint(dataset: ImageDataset) -> str:
     digest.update(dataset.labels.tobytes())
     digest.update(f"{dataset.source}|{dataset.num_classes}".encode())
     return digest.hexdigest()[:16]
-
-
-def require(path, producer):
-    if not os.path.exists(path):
-        raise MissingArtifactError(
-            f"missing artifact {path}; run `{producer}` first")
-    return path
 
 
 @contextlib.contextmanager
@@ -84,9 +73,9 @@ def read_json(path):
         return json.load(fh)
 
 
-def load_checkpoint(stem, producer="(the stage that writes it)"):
-    manifest = read_json(require(stem + ".json", producer))
-    raw = np.fromfile(require(stem + ".bin", producer), dtype="<f4")
+def load_checkpoint(stem):
+    manifest = read_json(stem + ".json")
+    raw = np.fromfile(stem + ".bin", dtype="<f4")
     arrays, offset = [], 0
     for shape in manifest["param_shapes"]:
         count = int(np.prod(shape)) if shape else 1
@@ -106,10 +95,10 @@ def write_csv(path, header, rows):
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def read_csv(path, producer="(unknown)"):
+def read_csv(path):
     """({}, header, rows); the empty dict keeps the three-value form
     that callers unpack."""
-    with open(require(path, producer)) as fh:
+    with open(path) as fh:
         header, *rows = [line.split(",") for line in fh.read().splitlines() if line]
     return {}, header, rows
 
@@ -123,7 +112,7 @@ def write_latents_csv(path, latents):
 
 def read_latents_csv(path):
     """The float32 latents `write_latents_csv` saved."""
-    _, (latents,) = load_checkpoint(path.removesuffix(".bin"), "train-dae")
+    _, (latents,) = load_checkpoint(path.removesuffix(".bin"))
     return latents
 
 
@@ -149,7 +138,6 @@ def write_jsonl(path, records):
         fh.write(_jsonl_lines(records))
 
 
-def read_jsonl(path, producer="(unknown)"):
-    require(path, producer)
+def read_jsonl(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]

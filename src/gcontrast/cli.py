@@ -7,11 +7,11 @@ failure.
 import argparse
 import sys
 
-from .artifacts import MissingArtifactError
 from .config import ConfigError, load_config
 from .data import DataFormatError
 from .optim import TrainingDivergedError
 from .pipeline import (
+    MissingArtifactError,
     Workspace,
     stage_cluster,
     stage_finetune,
@@ -41,9 +41,6 @@ def build_parser():
         cmd.add_argument("--seed", type=int, default=None, help="override the global seed")
         cmd.add_argument("--force", action="store_true",
                          help="recompute even when artifacts are up to date")
-        if name == "probe":
-            cmd.add_argument("--supervised", action="store_true",
-                             help="also train the fully supervised reference")
     return parser
 
 
@@ -63,7 +60,7 @@ def main(argv=None):
         elif args.command == "train-contrastive":
             stage_train_contrastive(ws, args.mode, force=args.force)
         elif args.command == "probe":
-            stage_probe(ws, args.mode, force=args.force, supervised=args.supervised)
+            stage_probe(ws, args.mode, force=args.force)
         elif args.command == "finetune":
             stage_finetune(ws, args.mode, force=args.force)
         elif args.command == "pipeline":

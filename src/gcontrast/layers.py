@@ -61,8 +61,8 @@ class ConvTranspose2D(Layer):
         return [self.w, self.b]
 
     def __call__(self, x):
-        return T.conv2d_transpose(x, self.w, stride=self.stride, padding="same",
-                                  bias=self.b, relu=self.activation == "relu")
+        return T.conv2d_transpose(x, self.w, stride=self.stride, bias=self.b,
+                                  relu=self.activation == "relu")
 
 
 class Dense(Layer):

@@ -1,11 +1,11 @@
 """Pipeline stages behind the CLI commands.
 
 Each stage reads and writes artifacts under one run directory, which
-is bound to one config by its `run.json`. A stage whose outputs all
-exist is skipped on re-run unless forced; a stage whose upstream
-artifact is missing names the command that produces it. Artifact files
-never contain timestamps, so identical configurations yield
-byte-identical runs.
+is bound to one config by its `run.json`. `OUTPUTS` lists the files
+each stage writes: a stage whose files all exist is skipped on re-run
+unless forced, and a stage missing any file of an upstream stage names
+that stage's command. Artifact files never contain timestamps, so
+identical configurations yield byte-identical runs.
 """
 
 import copy
@@ -23,7 +23,6 @@ from .artifacts import (
     read_json,
     read_jsonl,
     read_latents_csv,
-    require,
     save_checkpoint,
     write_csv,
     write_json,
@@ -152,19 +151,52 @@ def _exact_stratified_subset(labels, size, seed):
     return np.sort(np.concatenate(chosen))
 
 
-def _fresh(paths, force):
-    """True when every output exists: the run directory's binding makes it current."""
-    return not force and all(map(os.path.exists, paths))
+class MissingArtifactError(FileNotFoundError):
+    """A required upstream artifact is absent; names the producing command."""
+
+
+# the files each stage writes, `{mode}` standing for the batching mode
+OUTPUTS = {
+    "train-dae": ("dae_checkpoint.json", "dae_checkpoint.bin", "dae_history.csv",
+                  "latents.json", "latents.bin"),
+    "cluster": ("pseudo_labels.csv", "cluster_model.json", "cluster_model.bin"),
+    "plan": ("plan_{mode}.jsonl",),
+    "train-contrastive": ("contrastive_{mode}_encoder.json", "contrastive_{mode}_encoder.bin",
+                          "contrastive_{mode}_head.json", "contrastive_{mode}_head.bin",
+                          "contrastive_{mode}_loss.csv"),
+}
+
+
+def _outputs(ws, stage, mode=None):
+    return [ws.path(name.format(mode=mode)) for name in OUTPUTS[stage]]
+
+
+def _done(ws, stage, force, mode=None):
+    """True, logging the skip, when `stage`'s files all exist and --force is not given."""
+    if force or not all(map(os.path.exists, _outputs(ws, stage, mode))):
+        return False
+    log(f"{stage}{'' if mode is None else f'[{mode}]'}: up to date, skipping (use --force to redo)")
+    return True
+
+
+def _require(path, command):
+    if not os.path.exists(path):
+        raise MissingArtifactError(f"missing artifact {path}; run `{command}` first")
+    return path
+
+
+def _upstream(ws, stage, mode=None):
+    """`stage`'s output paths, each of which must exist."""
+    command = stage if mode is None else f"{stage} --mode {mode}"
+    return [_require(path, command) for path in _outputs(ws, stage, mode)]
 
 
 # ---- stages ----
 
 def stage_train_dae(ws: Workspace, force=False):
-    outputs = [ws.path(name) for name in ("dae_checkpoint.json", "dae_checkpoint.bin",
-                                          "dae_history.csv", "latents.json", "latents.bin")]
-    if _fresh(outputs, force):
-        log("train-dae: up to date, skipping (use --force to redo)")
+    if _done(ws, "train-dae", force):
         return
+    checkpoint, _, history_csv, _, latents_bin = _outputs(ws, "train-dae")
     cfg = ws.config
     spec = AutoencoderSpec(encoder_layers=cfg.dae.encoder_blocks,
                            image_size=cfg.dataset.image_size, channels=cfg.dataset.channels)
@@ -181,30 +213,26 @@ def stage_train_dae(ws: Workspace, force=False):
                 "latent_shape": list(spec.latent_shape()), "seed": init_seed,
                 "best_epoch": history.best_epoch, "stopped_epoch": history.stopped_epoch,
                 "dataset_hash": ws.dataset_hash}
-    save_checkpoint(ws.path("dae_checkpoint"), manifest,
-                    [p.data for p in model.params()])
-    write_csv(ws.path("dae_history.csv"), ["epoch", "train_loss", "val_loss"],
+    save_checkpoint(checkpoint.removesuffix(".json"), manifest, [p.data for p in model.params()])
+    write_csv(history_csv, ["epoch", "train_loss", "val_loss"],
               [(e + 1, t, v) for e, (t, v) in enumerate(zip(history.train_loss, history.val_loss))])
     latents = extract_latents(model, ws.dataset)
-    write_latents_csv(ws.path("latents.bin"), latents)
+    write_latents_csv(latents_bin, latents)
     log(f"train-dae: best epoch {history.best_epoch}, stopped {history.stopped_epoch}, "
         f"val loss {min(history.val_loss):.6f}")
 
 
 def stage_cluster(ws: Workspace, force=False):
-    outputs = [ws.path(name) for name in ("pseudo_labels.csv", "cluster_model.json",
-                                          "cluster_model.bin")]
-    if _fresh(outputs, force):
-        log("cluster: up to date, skipping (use --force to redo)")
+    if _done(ws, "cluster", force):
         return
-    latents = read_latents_csv(ws.path("latents.bin"))
+    latents = read_latents_csv(_upstream(ws, "train-dae")[-1])
+    labels_csv, checkpoint, _ = _outputs(ws, "cluster")
     cfg = ws.config
     model = kmeans_fit(latents, k=cfg.cluster.k, seed=derive_seed(cfg.seed, "cluster"),
                        max_iter=cfg.cluster.max_iter, tol=cfg.cluster.tol)
     assignment = assign(model, latents)
-    write_csv(ws.path("pseudo_labels.csv"), ["image_index", "cluster_label"],
-              pseudo_label_table(assignment))
-    save_checkpoint(ws.path("cluster_model"),
+    write_csv(labels_csv, ["image_index", "cluster_label"], pseudo_label_table(assignment))
+    save_checkpoint(checkpoint.removesuffix(".json"),
                     {"kind": "kmeans", "k": model.k, "inertia": model.inertia,
                      "iterations_run": model.iterations_run,
                      "seed": derive_seed(cfg.seed, "cluster"), "dataset_hash": ws.dataset_hash},
@@ -214,26 +242,27 @@ def stage_cluster(ws: Workspace, force=False):
 
 
 def _load_assignment(ws) -> PseudoLabelAssignment:
-    _, _, rows = read_csv(ws.path("pseudo_labels.csv"), producer="cluster")
+    _, _, rows = read_csv(_upstream(ws, "cluster")[0])
     labels = np.array([int(r[1]) for r in rows], dtype=np.int64)
     k = ws.config.cluster.k  # the k the labels came from: the run directory has one config
     return PseudoLabelAssignment(labels=labels, counts=np.bincount(labels, minlength=k))
 
 
-def _contrastive_config(ws) -> ContrastiveConfig:
+def _contrastive(ws):
+    """The ContrastiveConfig, EncoderSpec and ProjectionHeadSpec of the bound config."""
     cfg = ws.config
-    return ContrastiveConfig(temperature=cfg.contrastive.temperature, batch_size=cfg.scheduler.p,
-                             epochs=cfg.contrastive.epochs, base_lr=cfg.contrastive.base_lr,
-                             seed=derive_seed(cfg.seed, "contrastive"))
+    return (ContrastiveConfig(temperature=cfg.contrastive.temperature, batch_size=cfg.scheduler.p,
+                              epochs=cfg.contrastive.epochs, base_lr=cfg.contrastive.base_lr,
+                              seed=derive_seed(cfg.seed, "contrastive")),
+            EncoderSpec(blocks=cfg.contrastive.encoder_blocks, channels=cfg.dataset.channels),
+            ProjectionHeadSpec(widths=cfg.contrastive.head_widths))
 
 
 def stage_plan(ws: Workspace, mode, force=False):
-    out = ws.path(f"plan_{mode}.jsonl")
-    if _fresh([out], force):
-        log(f"plan[{mode}]: up to date, skipping (use --force to redo)")
+    if _done(ws, "plan", force, mode):
         return
     assignment = _load_assignment(ws) if mode == "guided" else None
-    config, n = _contrastive_config(ws), len(ws.dataset)
+    (config, _, _), n = _contrastive(ws), len(ws.dataset)
     if mode == "guided":
         nonempty = int((assignment.counts > 0).sum())
         if nonempty < config.batch_size:
@@ -252,48 +281,36 @@ def stage_plan(ws: Workspace, mode, force=False):
         for bi, batch in enumerate(plan.batches):
             records.append({"epoch": epoch, "batch_index": bi,
                             "indices": [int(i) for i in batch]})
-    write_jsonl(out, records)
+    write_jsonl(_outputs(ws, "plan", mode)[0], records)
     log(f"plan[{mode}]: wrote {len(records)} batches over {config.epochs} epoch plans")
 
 
 def stage_train_contrastive(ws: Workspace, mode, force=False):
-    outputs = [ws.path(f"contrastive_{mode}_{name}") for name in
-               ("encoder.json", "encoder.bin", "head.json", "head.bin", "loss.csv")]
-    if _fresh(outputs, force):
-        log(f"train-contrastive[{mode}]: up to date, skipping (use --force to redo)")
+    if _done(ws, "train-contrastive", force, mode):
         return
-    cfg = ws.config
     assignment = _load_assignment(ws) if mode == "guided" else None
-    config = _contrastive_config(ws)
-    encoder_spec = EncoderSpec(blocks=cfg.contrastive.encoder_blocks,
-                               channels=cfg.dataset.channels)
-    head_spec = ProjectionHeadSpec(widths=cfg.contrastive.head_widths)
+    config, encoder_spec, head_spec = _contrastive(ws)
     encoder, head, history = train_contrastive(ws.dataset, config, encoder_spec, head_spec,
                                                assignment=assignment)
-    base_manifest = {"mode": mode, "blocks": [list(b) for b in cfg.contrastive.encoder_blocks],
-                     "channels": cfg.dataset.channels,
-                     "head_widths": list(cfg.contrastive.head_widths),
+    base_manifest = {"mode": mode, "blocks": [list(b) for b in encoder_spec.blocks],
+                     "channels": encoder_spec.channels, "head_widths": list(head_spec.widths),
                      "seed": config.seed, "dataset_hash": ws.dataset_hash}
-    save_checkpoint(ws.path(f"contrastive_{mode}_encoder"),
+    encoder_json, _, head_json, _, loss_csv = _outputs(ws, "train-contrastive", mode)
+    save_checkpoint(encoder_json.removesuffix(".json"),
                     dict(base_manifest, kind="encoder"), [p.data for p in encoder.params()])
-    save_checkpoint(ws.path(f"contrastive_{mode}_head"),
+    save_checkpoint(head_json.removesuffix(".json"),
                     dict(base_manifest, kind="projection-head"), [p.data for p in head.params()])
-    write_csv(ws.path(f"contrastive_{mode}_loss.csv"), ["epoch", "batch", "loss"],
-              history.records)
+    write_csv(loss_csv, ["epoch", "batch", "loss"], history.records)
     log(f"train-contrastive[{mode}]: epoch means "
         f"{history.epoch_means[0]:.4f} -> {history.epoch_means[-1]:.4f}")
 
 
 def _load_contrastive(ws, mode):
-    enc_manifest, enc_arrays = load_checkpoint(ws.path(f"contrastive_{mode}_encoder"))
-    head_manifest, head_arrays = load_checkpoint(ws.path(f"contrastive_{mode}_head"))
-    spec = EncoderSpec(blocks=tuple(tuple(b) for b in enc_manifest["blocks"]),
-                       channels=enc_manifest["channels"])
-    encoder = build_encoder(spec, 0)
-    load_parameters(encoder, enc_arrays)
-    head = build_head(ProjectionHeadSpec(widths=tuple(head_manifest["head_widths"])),
-                      spec.feature_dim, 0)
-    load_parameters(head, head_arrays)
+    encoder_json, _, head_json, _, _ = _upstream(ws, "train-contrastive", mode)
+    _, spec, head_spec = _contrastive(ws)
+    encoder, head = build_encoder(spec, 0), build_head(head_spec, spec.feature_dim, 0)
+    for model, manifest in ((encoder, encoder_json), (head, head_json)):
+        load_parameters(model, load_checkpoint(manifest.removesuffix(".json"))[1])
     return encoder, head, spec
 
 
@@ -328,14 +345,13 @@ def _append_reports(ws, reports, force):
     return records
 
 
-def stage_probe(ws: Workspace, mode, force=False, supervised=False):
-    require(ws.path(f"contrastive_{mode}_encoder.json"),
-            producer=f"train-contrastive --mode {mode}")
+def stage_probe(ws: Workspace, mode, force=False):
     cfg = ws.config
     method = _method_tag(mode)
     recorded = _recorded(ws, force)
     to_run = [p for p in cfg.eval.tap_points if (method, p) not in recorded]
-    run_supervised = supervised and ("supervised-reference", "supervised") not in recorded
+    run_supervised = (cfg.eval.supervised_reference
+                      and ("supervised-reference", "supervised") not in recorded)
     if not to_run and not run_supervised:
         log(f"probe[{mode}]: up to date, skipping (use --force to redo)")
         return []
@@ -364,8 +380,6 @@ def stage_probe(ws: Workspace, mode, force=False, supervised=False):
 
 
 def stage_finetune(ws: Workspace, mode, force=False):
-    require(ws.path(f"contrastive_{mode}_encoder.json"),
-            producer=f"train-contrastive --mode {mode}")
     method = _method_tag(mode)
     if (method, "finetune") in _recorded(ws, force):
         log(f"finetune[{mode}]: up to date, skipping (use --force to redo)")
@@ -387,7 +401,7 @@ def stage_pipeline(ws: Workspace, mode, force=False):
         stage_cluster(ws, force)
     stage_plan(ws, mode, force)
     stage_train_contrastive(ws, mode, force)
-    stage_probe(ws, mode, force, supervised=ws.config.eval.supervised_reference)
+    stage_probe(ws, mode, force)
     stage_finetune(ws, mode, force)
 
 
@@ -451,7 +465,7 @@ def render_report(table):
 
 def stage_report(ws: Workspace):
     """Comparison table plus loss-curve CSV; refuses mixed datasets."""
-    records = read_jsonl(ws.path("results.jsonl"), producer="probe / finetune")
+    records = read_jsonl(_require(ws.path("results.jsonl"), "probe / finetune"))
     hashes = {r["dataset_hash"] for r in records}
     if len(hashes) > 1:
         raise ValueError(f"results.jsonl mixes dataset hashes {sorted(hashes)}; "
@@ -461,12 +475,13 @@ def stage_report(ws: Workspace):
     print(text)
 
     loss_rows = []
-    if os.path.exists(ws.path("dae_history.csv")):
-        _, _, rows_ = read_csv(ws.path("dae_history.csv"))
+    dae_history = _outputs(ws, "train-dae")[2]
+    if os.path.exists(dae_history):
+        _, _, rows_ = read_csv(dae_history)
         loss_rows += [("dae-train", r[0], "", r[1]) for r in rows_]
         loss_rows += [("dae-val", r[0], "", r[2]) for r in rows_]
     for mode in ("guided", "random"):
-        path = ws.path(f"contrastive_{mode}_loss.csv")
+        path = _outputs(ws, "train-contrastive", mode)[-1]
         if os.path.exists(path):
             _, _, rows_ = read_csv(path)
             loss_rows += [(f"contrastive-{mode}", r[0], r[1], r[2]) for r in rows_]

@@ -47,8 +47,6 @@ def build_guided_plan(assignment: PseudoLabelAssignment, p=64, epoch_seed=0) -> 
         raise ValueError(f"batch size must be >= 1, got {p}")
     labels = assignment.labels
     n = len(labels)
-    if n == 0:
-        return BatchPlan(batches=[], epoch_seed=epoch_seed)
     k = len(assignment.counts)
     rng = np.random.default_rng(derive_seed(epoch_seed, "guided-plan"))
     members = []

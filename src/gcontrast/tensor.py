@@ -478,14 +478,13 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding="valid", bias=None, relu=Fals
     return _record(out, parents, back)
 
 
-def conv2d_transpose(x: Tensor, w: Tensor, stride=1, padding="same", bias=None,
-                     relu=False) -> Tensor:
-    """Transposed 2-D convolution (the adjoint of conv2d).
+def conv2d_transpose(x: Tensor, w: Tensor, stride=1, bias=None, relu=False) -> Tensor:
+    """Transposed 2-D convolution (the adjoint of a 'same'-padded conv2d).
 
-    Kernel layout is (kh, kw, out_channels, in_channels); with 'same'
-    padding the output is exactly ``stride`` times larger spatially. An
-    optional (out_channels,) `bias` is added and `relu` applied in the
-    same tape node.
+    Kernel layout is (kh, kw, out_channels, in_channels); the output is
+    exactly ``stride`` times larger spatially. An optional
+    (out_channels,) `bias` is added and `relu` applied in the same tape
+    node.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d_transpose: need 4-D input and kernel, got {x.shape} and {w.shape}")
@@ -495,16 +494,10 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride=1, padding="same", bias=None,
         raise ShapeError(f"conv2d_transpose: input channels {c} != kernel channels {kc} "
                          f"(input {x.shape}, kernel {w.shape})")
     parents = _conv_parents(x, w, bias, "conv2d_transpose", f)
-    if padding == "same":
-        oh, ow = h * stride, wd * stride
-    else:
-        oh, ow = (h - 1) * stride + kh, (wd - 1) * stride + kw
-    # geometry of the conv that maps the output back to the input
-    ih, pt, pb = _conv_geometry(oh, kh, stride, padding, "conv2d_transpose")
-    iw, pl, pr = _conv_geometry(ow, kw, stride, padding, "conv2d_transpose")
-    if (ih, iw) != (h, wd):
-        raise ShapeError(f"conv2d_transpose: input {x.shape} inconsistent with stride {stride} "
-                         f"and padding {padding!r}")
+    oh, ow = h * stride, wd * stride
+    # padding of the conv that maps the output back to the input
+    _, pt, pb = _conv_geometry(oh, kh, stride, "same", "conv2d_transpose")
+    _, pl, pr = _conv_geometry(ow, kw, stride, "same", "conv2d_transpose")
     wf = w.data.reshape(kh * kw * f, c)
     xf = x.data.reshape(n * h * wd, c)
     out = _bias_relu(_col2im(xf @ wf.T, n, h, wd, kh, kw, stride, pt, pl, (n, oh, ow, f)),

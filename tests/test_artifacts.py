@@ -100,14 +100,6 @@ def test_latents_round_trip_bit_exact(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["latents.bin", "latents.json"]
 
 
-@pytest.mark.parametrize("missing", ["latents.json", "latents.bin"])
-def test_missing_latents_name_their_producer(tmp_path, missing):
-    artifacts.write_latents_csv(str(tmp_path / "latents.bin"), np.ones((2, 3)))
-    (tmp_path / missing).unlink()
-    with pytest.raises(artifacts.MissingArtifactError, match="run `train-dae` first"):
-        artifacts.read_latents_csv(str(tmp_path / "latents.bin"))
-
-
 def test_dataset_fingerprint_matches_whole_array_bytes_on_both_layouts(tmp_path):
     # 300 images span two row chunks; the CIFAR reader returns a
     # channel-planar view, the synthetic maker a C-contiguous array

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -216,24 +217,87 @@ def test_mode_defaults_to_guided(tmp_path, monkeypatch, command):
     assert modes == ["guided"]
 
 
-def test_probe_supervised_adds_one_record_then_skips(pipeline_dir, capsys):
-    path = pipeline_dir / "results.jsonl"
-    before = path.read_text().splitlines()
-    argv = ("probe", "--config", TINY, "--run-dir", str(pipeline_dir), "--mode", "guided",
-            "--supervised")
+def _supervised_tiny(tmp_path):
+    return _tiny_with(tmp_path, "supervised_reference = false", "supervised_reference = true")
+
+
+def test_probe_supervised_adds_one_record_then_skips(tmp_path, capsys):
+    # the config alone asks for the supervised reference; --supervised is gone
+    config, run_dir = _supervised_tiny(tmp_path), str(tmp_path / "run")
+    for command in ("train-dae", "cluster", "plan", "train-contrastive"):
+        assert run(command, "--config", config, "--run-dir", run_dir) == 0
+    argv = ("probe", "--config", config, "--run-dir", run_dir, "--mode", "guided")
     assert run(*argv) == 0
+    path = tmp_path / "run" / "results.jsonl"
     lines = path.read_text().splitlines()
-    assert lines[:len(before)] == before and len(lines) == len(before) + 1
-    added = json.loads(lines[-1])
-    assert (added["method"], added["eval_name"]) == ("supervised-reference", "supervised")
-    assert run("report", "--config", TINY, "--run-dir", str(pipeline_dir)) == 0
+    added = [json.loads(line) for line in lines if "supervised-reference" in line]
+    assert [(r["method"], r["eval_name"]) for r in added] == [("supervised-reference",
+                                                               "supervised")]
+    assert run("report", "--config", config, "--run-dir", run_dir) == 0
     table = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
     column = table[0].index("supervised")
     (row,) = [r for r in table if r[0] == "supervised-reference"]
-    assert row[column] == f"{added['accuracy']:.2f}"
+    assert row[column] == f"{added[0]['accuracy']:.2f}"
     assert run(*argv) == 0
-    assert "up to date, skipping" in capsys.readouterr().err
+    assert "probe[guided]: up to date, skipping" in capsys.readouterr().err
     assert path.read_text().splitlines() == lines
+    with pytest.raises(SystemExit) as excinfo:
+        run(*argv, "--supervised")
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --supervised" in capsys.readouterr().err
+
+
+def test_stages_one_by_one_record_what_pipeline_records(tmp_path):
+    # under supervised_reference = true, `probe` run alone honours the key
+    # as `pipeline` does
+    config = _supervised_tiny(tmp_path)
+    for mode in ("guided", "random"):
+        assert run("pipeline", "--config", config, "--run-dir", str(tmp_path / "whole"),
+                   "--mode", mode) == 0
+        commands = ("train-dae", "cluster") * (mode == "guided") + (
+            "plan", "train-contrastive", "probe", "finetune")
+        for command in commands:
+            assert run(command, "--config", config, "--run-dir", str(tmp_path / "staged"),
+                       "--mode", mode) == 0
+    records = (tmp_path / "whole" / "results.jsonl").read_text()
+    assert "supervised-reference" in records
+    assert (tmp_path / "staged" / "results.jsonl").read_text() == records
+    assert contents(tmp_path / "staged") == contents(tmp_path / "whole")
+
+
+def _upstream_reads():
+    """(file, a command that reads it, the command that writes it)."""
+    reads = [(name, ("cluster", "--force"), "train-dae")
+             for name in ("dae_checkpoint.json", "dae_checkpoint.bin", "dae_history.csv",
+                          "latents.json", "latents.bin")]
+    reads += [(name, ("plan", "--force", "--mode", "guided"), "cluster")
+              for name in ("pseudo_labels.csv", "cluster_model.json", "cluster_model.bin")]
+    reads += [(f"contrastive_{mode}_{part}", (reader, "--force", "--mode", mode),
+               f"train-contrastive --mode {mode}")
+              for mode in ("guided", "random")
+              for part in ("encoder.json", "encoder.bin", "head.json", "head.bin", "loss.csv")
+              for reader in ("probe", "finetune")]
+    return reads + [("results.jsonl", ("report",), "probe / finetune")]
+
+
+def test_a_missing_upstream_file_is_refused_naming_its_command(finished_dir, tmp_path, capsys):
+    # a stage missing any of its files is not done, so every reader that
+    # runs refuses it; a reader that is itself done reads nothing and skips
+    for point, (name, argv, producer) in enumerate(_upstream_reads()):
+        run_dir = tmp_path / f"without{point}"
+        shutil.copytree(finished_dir, run_dir)
+        (run_dir / name).unlink()
+        before = contents(run_dir)
+        capsys.readouterr()
+        assert run(*argv, "--config", TINY, "--run-dir", str(run_dir)) == 1, (name, argv)
+        assert capsys.readouterr().err == (
+            f"error: missing artifact {run_dir / name}; run `{producer}` first\n"), (name, argv)
+        assert contents(run_dir) == before, (name, argv)
+        if "--force" in argv:
+            unforced = [arg for arg in argv if arg != "--force"]
+            assert run(*unforced, "--config", TINY, "--run-dir", str(run_dir)) == 0, (name, argv)
+            assert "up to date, skipping" in capsys.readouterr().err, (name, argv)
+            assert contents(run_dir) == before, (name, argv)
 
 
 def test_rerun_is_noop_without_force(pipeline_dir, capsys):

@@ -12,8 +12,10 @@ from gcontrast.tensor import Tensor
 
 def unfused(layer, x):
     """The three-node reference: conv, broadcast bias add, relu."""
-    conv = T.conv2d if isinstance(layer, Conv2D) else T.conv2d_transpose
-    out = conv(x, layer.w, stride=layer.stride, padding="same") + layer.b
+    if isinstance(layer, Conv2D):
+        out = T.conv2d(x, layer.w, stride=layer.stride, padding="same") + layer.b
+    else:
+        out = T.conv2d_transpose(x, layer.w, stride=layer.stride) + layer.b
     return out.relu() if layer.activation == "relu" else out
 
 

@@ -93,7 +93,7 @@ def test_conv2d_transpose_is_adjoint_of_conv2d():
     y = rng.normal(size=(2, 4, 4, 5)).astype(np.float64)
     cx = conv2d(Tensor(x), Tensor(w), stride=2, padding="same").data
     # a conv kernel (kh,kw,C,F) reads as (kh,kw,out=C,in=F) for the adjoint
-    cty = conv2d_transpose(Tensor(y), Tensor(w), stride=2, padding="same").data
+    cty = conv2d_transpose(Tensor(y), Tensor(w), stride=2).data
     assert cty.shape == x.shape
     assert np.vdot(cx, y) == pytest.approx(np.vdot(x, cty), rel=1e-10)
 
@@ -101,7 +101,7 @@ def test_conv2d_transpose_is_adjoint_of_conv2d():
 def test_conv2d_transpose_upsamples_shape():
     x = Tensor(np.zeros((2, 4, 4, 8)))
     w = Tensor(np.zeros((3, 3, 5, 8)))
-    out = conv2d_transpose(x, w, stride=2, padding="same")
+    out = conv2d_transpose(x, w, stride=2)
     assert out.shape == (2, 8, 8, 5)
 
 
@@ -273,7 +273,7 @@ def test_grad_conv2d(seed, dtype, tol):
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_conv2d_transpose(seed):
     x, w = _random_arrays(seed, [(1, 3, 3, 2), (3, 3, 3, 2)], np.float64)
-    gradcheck(lambda ts: conv2d_transpose(ts[0], ts[1], stride=2, padding="same").sum(),
+    gradcheck(lambda ts: conv2d_transpose(ts[0], ts[1], stride=2).sum(),
               [x, w], **DOUBLE)
 
 
@@ -304,9 +304,9 @@ def test_grad_conv2d_bias_relu(seed, dtype, tol):
 def test_grad_conv2d_transpose_bias_relu(seed, dtype, tol, relu):
     x, w, b = _clear_of_relu_kink(
         seed, [(1, 3, 3, 2), (3, 3, 3, 2), (3,)], dtype,
-        lambda x, w, b: conv2d_transpose(Tensor(x), Tensor(w), stride=2, padding="same").data + b,
+        lambda x, w, b: conv2d_transpose(Tensor(x), Tensor(w), stride=2).data + b,
         tol["step"])
-    gradcheck(lambda ts: (conv2d_transpose(ts[0], ts[1], stride=2, padding="same",
+    gradcheck(lambda ts: (conv2d_transpose(ts[0], ts[1], stride=2,
                                            bias=ts[2], relu=relu) * 0.7).sum(),
               [x, w, b], **tol)
 
@@ -378,8 +378,7 @@ def test_desk_autoencoder_matches_tap_by_tap_scatter(monkeypatch):
         for i in range(3):
             h = conv2d(h, ts[i], stride=2, padding="same", bias=ts[6 + i], relu=True)
         for i in range(3, 6):
-            h = conv2d_transpose(h, ts[i], stride=2, padding="same", bias=ts[6 + i],
-                                 relu=i < 5)
+            h = conv2d_transpose(h, ts[i], stride=2, bias=ts[6 + i], relu=i < 5)
         assert h.shape == x.shape
         (h * h).mean().backward()
         return [h.data, xt.grad] + [t.grad for t in ts]
@@ -402,7 +401,7 @@ def test_fused_conv_screens_pre_activation_before_relu(op, overflow_in):
     b = Tensor(np.full(1, 0.0 if overflow_in == "kernel" else -big, dtype=np.float32))
     with pytest.raises(NonFiniteError, match=op.__name__):
         with np.errstate(over="ignore"):
-            op(x, w, padding="same", bias=b, relu=True)
+            op(x, w, bias=b, relu=True)
 
 
 @pytest.mark.parametrize("seed", range(5))
