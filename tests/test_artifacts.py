@@ -1,12 +1,16 @@
 """Artifact writers: an interrupted write leaves nothing under the final name."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gcontrast import artifacts
+from gcontrast import artifacts, pipeline
+from gcontrast.config import load_config
 from gcontrast.data import load_cifar10, make_synthetic, save_cifar10_binary
+
+TINY = str(Path(__file__).resolve().parent.parent / "configs" / "tiny.ini")
 
 
 class _DiskFullAfter:
@@ -98,6 +102,21 @@ def test_latents_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back, latents)
     assert np.array_equal(np.signbit(back), np.signbit(latents))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["latents.bin", "latents.json"]
+
+
+@pytest.mark.parametrize("missing", ["latents.json", "latents.bin"])
+def test_missing_latents_name_their_producer(tmp_path, missing):
+    # every other train-dae output is present; `cluster` refuses the
+    # half-written latents checkpoint, naming train-dae, and writes nothing
+    ws = pipeline.Workspace(load_config(TINY), tmp_path / "run")
+    for name in pipeline.OUTPUTS["train-dae"]:
+        (tmp_path / "run" / name).write_bytes(b"")
+    artifacts.write_latents_csv(ws.path("latents.bin"), np.ones((2, 3)))
+    (tmp_path / "run" / missing).unlink()
+    before = sorted(p.name for p in (tmp_path / "run").iterdir())
+    with pytest.raises(pipeline.MissingArtifactError, match="run `train-dae` first"):
+        pipeline.stage_cluster(ws)
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == before
 
 
 def test_dataset_fingerprint_matches_whole_array_bytes_on_both_layouts(tmp_path):
