@@ -56,7 +56,8 @@ def _plusplus_init(Y, y_sq, k, rng):
 
 
 def kmeans_fit(Y, k=64, seed=0, max_iter=300, tol=1e-4) -> ClusterModel:
-    """Lloyd's algorithm; deterministic per seed, every cluster nonempty."""
+    """Lloyd's algorithm, deterministic per seed. The Lloyd iterations keep every
+    cluster nonempty, but `assign` can still leave one empty when centroids coincide."""
     Y = np.asarray(Y, dtype=np.float64)
     n = len(Y)
     if n < k:
@@ -70,12 +71,14 @@ def kmeans_fit(Y, k=64, seed=0, max_iter=300, tol=1e-4) -> ClusterModel:
         dists = _sq_distances(Y, y_sq, centroids)
         labels = dists.argmin(axis=1)
         point_d = dists[np.arange(n), labels]
-        # re-seed empty clusters to the farthest point from its centroid
-        for cluster in range(k):
-            if not (labels == cluster).any():
-                far = point_d.argmax()
-                labels[far] = cluster
-                point_d[far] = 0.0
+        # re-seed each empty cluster with the point farthest from its centroid
+        # among clusters that keep another member (n >= k: one always exists)
+        counts = np.bincount(labels, minlength=k)
+        for cluster in np.flatnonzero(counts == 0):
+            far = np.where(counts[labels] > 1, point_d, -1.0).argmax()
+            counts[labels[far]] -= 1
+            counts[cluster] = 1
+            labels[far], point_d[far] = cluster, 0.0
         inertia_history.append(float(point_d.sum()))
         new_centroids = np.empty_like(centroids)
         for cluster in range(k):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cluster import PseudoLabelAssignment
 from .data import ImageDataset, augment_pair
-from .layers import Conv2D, Dense, GlobalAvgPool, Sequential
+from .layers import Dense, GlobalAvgPool, Sequential, conv_stack
 from .optim import CosineSchedule, run_epoch, sgd_cosine_step
 from .scheduler import build_guided_plan, build_random_plan
 from .seeds import derive_seed
@@ -67,13 +67,7 @@ class ContrastiveConfig:
 
 def build_encoder(spec: EncoderSpec, seed) -> Sequential:
     rng = np.random.default_rng(derive_seed(seed, "encoder-init"))
-    layers, in_ch = [], spec.channels
-    for filters, kernel, stride in spec.blocks:
-        layers.append(Conv2D(rng, in_ch, filters, kernel=kernel, stride=stride,
-                             activation="relu"))
-        in_ch = filters
-    layers.append(GlobalAvgPool())
-    return Sequential(layers)
+    return Sequential(conv_stack(rng, spec.channels, spec.blocks) + [GlobalAvgPool()])
 
 
 def build_head(spec: ProjectionHeadSpec, in_dim, seed) -> Sequential:

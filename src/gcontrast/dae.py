@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ImageDataset, add_gaussian_noise
-from .layers import Conv2D, ConvTranspose2D, Sequential
+from .layers import ConvTranspose2D, Sequential, conv_stack
 from .optim import AdamState, adam_step, fit_early_stopping
 from .optim import early_stopping_scan  # noqa: F401  (re-exported: acceptance criterion 6 imports it from here)
 from .seeds import derive_seed
@@ -64,23 +64,13 @@ def build_autoencoder(spec: AutoencoderSpec, seed) -> Autoencoder:
     """Deterministically initialized encoder/decoder pair for the spec."""
     spec.latent_shape()  # validates stride geometry, names the bad layer
     rng = np.random.default_rng(derive_seed(seed, "autoencoder-init"))
-    enc_layers, in_ch = [], spec.channels
-    for filters, kernel, stride in spec.encoder_layers:
-        enc_layers.append(Conv2D(rng, in_ch, filters, kernel=kernel, stride=stride,
-                                 activation="relu"))
-        in_ch = filters
-    dec_layers = []
-    mirrored = list(spec.encoder_layers)
-    for i in range(len(mirrored) - 1, 0, -1):
-        f_out = mirrored[i - 1][0]
-        _, kernel, stride = mirrored[i]
-        dec_layers.append(ConvTranspose2D(rng, in_ch, f_out, kernel=kernel, stride=stride,
-                                          activation="relu"))
-        in_ch = f_out
-    _, kernel, stride = mirrored[0]
-    dec_layers.append(ConvTranspose2D(rng, in_ch, spec.channels, kernel=kernel, stride=stride,
-                                      activation="linear"))
-    return Autoencoder(spec, Sequential(enc_layers), Sequential(dec_layers))
+    blocks = spec.encoder_layers
+    # the decoder undoes the blocks last to first, each back to its input channels
+    inputs = [spec.channels] + [filters for filters, _, _ in blocks[:-1]]
+    mirrored = [(c, kernel, stride) for c, (_, kernel, stride) in zip(inputs, blocks)][::-1]
+    encoder = conv_stack(rng, spec.channels, blocks)
+    decoder = conv_stack(rng, blocks[-1][0], mirrored, ConvTranspose2D, last_activation="linear")
+    return Autoencoder(spec, Sequential(encoder), Sequential(decoder))
 
 
 def reconstruction_loss(model, clean, corrupted):

@@ -65,6 +65,18 @@ class ConvTranspose2D(Layer):
                                   relu=self.activation == "relu")
 
 
+def conv_stack(rng, channels, blocks, layer=Conv2D, last_activation="relu"):
+    """One `layer` per (filters, kernel, stride) block, taking `channels`
+    input channels; relu after each block but the last."""
+    stack = []
+    for filters, kernel, stride in blocks:
+        activation = "relu" if len(stack) < len(blocks) - 1 else last_activation
+        stack.append(layer(rng, channels, filters, kernel=kernel, stride=stride,
+                           activation=activation))
+        channels = filters
+    return stack
+
+
 class Dense(Layer):
     def __init__(self, rng, in_dim, units, activation="linear"):
         self.w = _init(rng, (in_dim, units), in_dim, units, activation)

@@ -321,11 +321,8 @@ def _existing_reports(ws):
     return read_jsonl(path)
 
 
-def _recorded(ws, force):
-    """(method, eval_name) pairs results.jsonl holds; none under --force,
-    which redoes them."""
-    if force:
-        return set()
+def _recorded(ws):
+    """(method, eval_name) pairs results.jsonl holds."""
     return {(r["method"], r["eval_name"]) for r in _existing_reports(ws)}
 
 
@@ -348,10 +345,12 @@ def _append_reports(ws, reports, force):
 def stage_probe(ws: Workspace, mode, force=False):
     cfg = ws.config
     method = _method_tag(mode)
-    recorded = _recorded(ws, force)
+    held = _recorded(ws)
+    recorded = set() if force else held  # --force redoes every eval it runs
     to_run = [p for p in cfg.eval.tap_points if (method, p) not in recorded]
-    run_supervised = (cfg.eval.supervised_reference
-                      and ("supervised-reference", "supervised") not in recorded)
+    # the reference does not depend on the mode: --force redoes it under guided only
+    run_supervised = cfg.eval.supervised_reference and (
+        ("supervised-reference", "supervised") not in held or force and mode == "guided")
     if not to_run and not run_supervised:
         log(f"probe[{mode}]: up to date, skipping (use --force to redo)")
         return []
@@ -381,7 +380,7 @@ def stage_probe(ws: Workspace, mode, force=False):
 
 def stage_finetune(ws: Workspace, mode, force=False):
     method = _method_tag(mode)
-    if (method, "finetune") in _recorded(ws, force):
+    if not force and (method, "finetune") in _recorded(ws):
         log(f"finetune[{mode}]: up to date, skipping (use --force to redo)")
         return []
     encoder, _, spec = _load_contrastive(ws, mode)

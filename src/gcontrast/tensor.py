@@ -367,28 +367,23 @@ def _conv_geometry(size, k, stride, padding, op):
     raise ValueError(f"{op}: padding must be 'same' or 'valid', got {padding!r}")
 
 
-def _im2col(xp, kh, kw, stride):
-    # xp (N,H,W,C) -> (N, Ho, Wo, kh, kw, C) view, then flattened copy
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
+def _im2col(x, kh, kw, stride, pt, pb, pl, pr):
+    # x (N,H,W,C) zero-padded by (pt, pb, pl, pr) -> (N, Ho, Wo, kh, kw, C)
+    # view, then flattened copy
+    if pt | pb | pl | pr:
+        n, h, w, c = x.shape
+        xp = np.zeros((n, pt + h + pb, pl + w + pr, c), dtype=x.dtype)
+        xp[:, pt:pt + h, pl:pl + w] = x
+        x = xp
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     n, ho, wo = win.shape[:3]
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, kh * kw * xp.shape[3])
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, kh * kw * x.shape[3])
     return np.ascontiguousarray(cols), ho, wo
 
 
-def _pad(x, pt, pb, pl, pr):
-    """Zero-pad an NHWC array spatially; `x` itself when nothing pads."""
-    if not (pt | pb | pl | pr):
-        return x
-    n, h, w, c = x.shape
-    out = np.zeros((n, pt + h + pb, pl + w + pr, c), dtype=x.dtype)
-    out[:, pt:pt + h, pl:pl + w] = x
-    return out
-
-
 def _col2im(dcols, n, ho, wo, kh, kw, stride, pt, pl, shape):
-    """Adjoint of _im2col on the padded input, cropped to `shape` (n, H, W, C)
-    at offset (pt, pl).
+    """Adjoint of _im2col: patch rows scattered onto the padded input,
+    cropped to `shape` (n, H, W, C) at offset (pt, pl).
 
     Taps (s*qi + pi, s*qj + pj) that share (qi, qj) land on disjoint stride
     phases, so each group is one += on a (n, Hq, s, Wq, s, C) view of the
@@ -459,7 +454,7 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding="valid", bias=None, relu=Fals
     parents = _conv_parents(x, w, bias, "conv2d", f)
     ho, pt, pb = _conv_geometry(h, kh, stride, padding, "conv2d")
     wo, pl, pr = _conv_geometry(wd, kw, stride, padding, "conv2d")
-    cols, ho2, wo2 = _im2col(_pad(x.data, pt, pb, pl, pr), kh, kw, stride)
+    cols, ho2, wo2 = _im2col(x.data, kh, kw, stride, pt, pb, pl, pr)
     assert (ho2, wo2) == (ho, wo)
     wf = w.data.reshape(kh * kw * c, f)
     out = _bias_relu((cols @ wf).reshape(n, ho, wo, f), bias, relu, "conv2d")
@@ -505,7 +500,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride=1, bias=None, relu=False) -> T
 
     def back(g):
         g, dbias = _bias_relu_back(g, out, bias, relu)
-        gcols, _, _ = _im2col(_pad(g, pt, pb, pl, pr), kh, kw, stride)
+        gcols, _, _ = _im2col(g, kh, kw, stride, pt, pb, pl, pr)
         dx = (gcols @ wf).reshape(n, h, wd, c) if x.requires_grad else None
         dw = (gcols.T @ xf).reshape(kh, kw, f, c)
         return (dx, dw) + dbias

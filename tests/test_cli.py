@@ -265,6 +265,31 @@ def test_stages_one_by_one_record_what_pipeline_records(tmp_path):
     assert contents(tmp_path / "staged") == contents(tmp_path / "whole")
 
 
+def _supervised_rows(run_dir):
+    lines = (run_dir / "results.jsonl").read_text().splitlines()
+    return [line for line in lines if "supervised-reference" in line]
+
+
+def test_force_retrains_the_supervised_reference_under_guided_only(tmp_path, capsys):
+    # the reference does not depend on the mode, so a forced comparison
+    # trains it once and a forced random-mode probe keeps the row it finds
+    config_path, root = _supervised_tiny(tmp_path), tmp_path / "root"
+    pipeline.run_mode_comparison(load_config(config_path), str(root), [0])
+    capsys.readouterr()
+    pipeline.run_mode_comparison(load_config(config_path), str(root), [0], force=True)
+    assert capsys.readouterr().err.count("supervised reference: ") == 1
+    run_dir = root / "seed0"
+    (row,) = _supervised_rows(run_dir)
+    argv = ("probe", "--config", config_path, "--run-dir", str(run_dir), "--seed", "0",
+            "--force", "--mode")
+    assert run(*argv, "random") == 0
+    assert "supervised reference: " not in capsys.readouterr().err
+    assert _supervised_rows(run_dir) == [row]
+    assert run(*argv, "guided") == 0
+    assert capsys.readouterr().err.count("supervised reference: ") == 1
+    assert len(_supervised_rows(run_dir)) == 1
+
+
 def _upstream_reads():
     """(file, a command that reads it, the command that writes it)."""
     reads = [(name, ("cluster", "--force"), "train-dae")

@@ -1,5 +1,7 @@
 """k-means fitting, assignment, and the pseudo-label table."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,19 @@ def test_every_cluster_nonempty_after_fit():
     model = kmeans_fit(Y, k=20, seed=4)
     counts = assign(model, Y).counts
     assert (counts > 0).all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("points", [np.zeros((10, 3)), np.array([[5.0, 5.0]] + [[0.0, 0.0]] * 9)],
+                         ids=["all-equal", "one-outlier"])
+def test_reseeding_never_empties_the_cluster_it_takes_from(points, seed):
+    # coinciding k-means++ centroids leave clusters empty; re-seeding one
+    # from a singleton cluster would average an empty slice
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = kmeans_fit(points, k=3, seed=seed, max_iter=300)
+    assert np.isfinite(model.centroids).all()
+    assert model.iterations_run < 300
 
 
 def test_fit_deterministic_per_seed():
