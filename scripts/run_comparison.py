@@ -13,6 +13,7 @@ for context.
 import argparse
 import sys
 
+from gcontrast.cli import RUNTIME_ERRORS
 from gcontrast.config import ConfigError, load_config
 from gcontrast.pipeline import MissingArtifactError, render_report, run_mode_comparison
 
@@ -44,6 +45,9 @@ def main(argv=None):
     except (ConfigError, MissingArtifactError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except RUNTIME_ERRORS as err:
+        print(f"runtime failure: {err}", file=sys.stderr)
+        return 2
     _, text, _ = render_report(table)
     print(f"\nmean validation accuracy over seeds {args.seeds}")
     print(text)

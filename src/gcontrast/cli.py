@@ -25,6 +25,8 @@ from .pipeline import (
 
 STAGE_COMMANDS = ("train-dae", "cluster", "plan", "train-contrastive",
                   "probe", "finetune", "pipeline", "report")
+# the failures that exit 2, here and in scripts/run_comparison.py
+RUNTIME_ERRORS = (TrainingDivergedError, DataFormatError, ValueError, OSError)
 
 
 def build_parser():
@@ -70,7 +72,7 @@ def main(argv=None):
     except (ConfigError, MissingArtifactError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (TrainingDivergedError, DataFormatError, ValueError, OSError) as err:
+    except RUNTIME_ERRORS as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return 2
     return 0

@@ -162,15 +162,19 @@ def _blocks_errors(key, blocks):
 def dataset_size_errors(config: RunConfig, class_sizes):
     """Violated keys that must fit a dataset of {label: images} classes.
 
-    The eval split and the fine-tune subset are counted per class the
-    way `stratified_indices` draws them, from the class sizes the
-    `dataset.subset_size` subset leaves.
+    The `dataset.subset_size` subset takes its `subset_class_sizes` share
+    from each class. The eval split and the fine-tune subset are counted
+    per class the way `stratified_indices` draws them, from those shares.
     """
     errors, subset_size, n = [], config.dataset.subset_size, sum(class_sizes.values())
     if subset_size > n:
         errors.append(f"dataset.subset_size: {subset_size} exceeds the dataset's {n} images")
     elif 0 < subset_size < n:
-        class_sizes = dict(zip(class_sizes, subset_class_sizes(subset_size, len(class_sizes))))
+        shares = dict(zip(class_sizes, subset_class_sizes(subset_size, len(class_sizes))))
+        errors.extend(f"dataset.subset_size: {subset_size} takes {want} images from class "
+                      f"{cls}, which has only {class_sizes[cls]}"
+                      for cls, want in shares.items() if want > class_sizes[cls])
+        class_sizes = shares
     used = sum(class_sizes.values())
     if config.cluster.k > used:
         errors.append(f"cluster.k: {config.cluster.k} exceeds the {used} images it clusters")

@@ -64,12 +64,14 @@ def _method_tag(mode):
 class Workspace:
     """One run directory plus the resolved config and lazy dataset.
 
-    The directory belongs to one config: the first command writes its
-    hash to `run.json`, and a command under another config, or in a
-    directory that holds files but no `run.json`, is refused before it
-    writes anything. So every artifact that exists is current. A
-    directory holding nothing but `run.json` (its first command failed
-    before writing anything else) is rebound to the current config.
+    The directory belongs to one config and one dataset: the first
+    command writes the config hash to `run.json`, the first dataset read
+    writes `dataset_meta.json`, and a command under another config, in a
+    directory that holds files but no `run.json`, or reading another
+    dataset is refused before it writes anything. So every artifact that
+    exists is current. A directory holding nothing but `run.json` (its
+    first command failed before writing anything else) is rebound to the
+    current config.
     """
 
     def __init__(self, config: RunConfig, run_dir):
@@ -89,7 +91,6 @@ class Workspace:
             raise ConfigError([f"run directory {self.run_dir} belongs to config hash {stored}, "
                                f"not to this config's {config_hash}; use another --run-dir"])
         self._dataset = None
-        self._dataset_hash = None
 
     def path(self, name):
         return os.path.join(self.run_dir, name)
@@ -97,19 +98,19 @@ class Workspace:
     @property
     def dataset(self):
         if self._dataset is None:
-            self._dataset = resolve_dataset(self.config)
-            self._dataset_hash = dataset_fingerprint(self._dataset)
-            meta = {"dataset_hash": self._dataset_hash, "source": self._dataset.source,
-                    "n": len(self._dataset), "num_classes": self._dataset.num_classes}
+            dataset = resolve_dataset(self.config)
+            meta = {"dataset_hash": dataset_fingerprint(dataset), "source": dataset.source,
+                    "n": len(dataset), "num_classes": dataset.num_classes}
             path = self.path("dataset_meta.json")
-            if not os.path.exists(path) or read_json(path) != meta:
+            if not os.path.exists(path):
                 write_json(path, meta)
+            stored = read_json(path)
+            if stored != meta:
+                raise ConfigError([f"run directory {self.run_dir} belongs to dataset hash "
+                                   f"{stored['dataset_hash']}, not to this dataset's "
+                                   f"{meta['dataset_hash']}; use another --run-dir"])
+            self._dataset = dataset
         return self._dataset
-
-    @property
-    def dataset_hash(self):
-        self.dataset
-        return self._dataset_hash
 
     def eval_split(self):
         return train_val_split(self.dataset, self.config.eval.val_fraction,
@@ -211,8 +212,7 @@ def stage_train_dae(ws: Workspace, force=False):
     manifest = {"kind": "autoencoder", "encoder_blocks": [list(b) for b in cfg.dae.encoder_blocks],
                 "image_size": cfg.dataset.image_size, "channels": cfg.dataset.channels,
                 "latent_shape": list(spec.latent_shape()), "seed": init_seed,
-                "best_epoch": history.best_epoch, "stopped_epoch": history.stopped_epoch,
-                "dataset_hash": ws.dataset_hash}
+                "best_epoch": history.best_epoch, "stopped_epoch": history.stopped_epoch}
     save_checkpoint(checkpoint.removesuffix(".json"), manifest, [p.data for p in model.params()])
     write_csv(history_csv, ["epoch", "train_loss", "val_loss"],
               [(e + 1, t, v) for e, (t, v) in enumerate(zip(history.train_loss, history.val_loss))])
@@ -235,7 +235,7 @@ def stage_cluster(ws: Workspace, force=False):
     save_checkpoint(checkpoint.removesuffix(".json"),
                     {"kind": "kmeans", "k": model.k, "inertia": model.inertia,
                      "iterations_run": model.iterations_run,
-                     "seed": derive_seed(cfg.seed, "cluster"), "dataset_hash": ws.dataset_hash},
+                     "seed": derive_seed(cfg.seed, "cluster")},
                     [model.centroids])
     occupied = int((assignment.counts > 0).sum())
     log(f"cluster: k={model.k}, {occupied} nonempty clusters, inertia {model.inertia:.3f}")
@@ -294,7 +294,7 @@ def stage_train_contrastive(ws: Workspace, mode, force=False):
                                                assignment=assignment)
     base_manifest = {"mode": mode, "blocks": [list(b) for b in encoder_spec.blocks],
                      "channels": encoder_spec.channels, "head_widths": list(head_spec.widths),
-                     "seed": config.seed, "dataset_hash": ws.dataset_hash}
+                     "seed": config.seed}
     encoder_json, _, head_json, _, loss_csv = _outputs(ws, "train-contrastive", mode)
     save_checkpoint(encoder_json.removesuffix(".json"),
                     dict(base_manifest, kind="encoder"), [p.data for p in encoder.params()])
@@ -328,9 +328,7 @@ def _recorded(ws):
 
 def _append_reports(ws, reports, force):
     records = [{"method": report.method, "eval_name": report.eval_name,
-                "accuracy": report.accuracy, "seed": report.seed,
-                "dataset_hash": ws.dataset_hash}
-               for report in reports]
+                "accuracy": report.accuracy, "seed": report.seed} for report in reports]
     # --force replaces what was already recorded for these evals
     existing = _existing_reports(ws) if force else []
     replaced = {(r["method"], r["eval_name"]) for r in records}
@@ -463,12 +461,8 @@ def render_report(table):
 
 
 def stage_report(ws: Workspace):
-    """Comparison table plus loss-curve CSV; refuses mixed datasets."""
+    """Comparison table plus loss-curve CSV."""
     records = read_jsonl(_require(ws.path("results.jsonl"), "probe / finetune"))
-    hashes = {r["dataset_hash"] for r in records}
-    if len(hashes) > 1:
-        raise ValueError(f"results.jsonl mixes dataset hashes {sorted(hashes)}; "
-                         "refusing to compare")
     rows, text, deltas = render_report(accuracy_table(records))
     write_csv(ws.path("report_table.csv"), rows[0], rows[1:])
     print(text)

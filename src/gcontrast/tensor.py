@@ -122,24 +122,24 @@ class Tensor:
 
     # ---- reductions ----
 
-    def sum(self, axis=None, keepdims=False):
-        out = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        out = self.data.sum(axis=axis)
         shape = self.data.shape
 
         def back(g):
-            return (_expand_reduced(g, shape, axis, keepdims),)
+            return (_expand_reduced(g, shape, axis),)
 
         return _node("sum", np.asarray(out), (self,), back)
 
-    def mean(self, axis=None, keepdims=False):
-        out = self.data.mean(axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):
+        out = self.data.mean(axis=axis)
         shape = self.data.shape
         # a Python int, so the gradient keeps g's dtype under NumPy 2 promotion
         count = self.data.size if axis is None else int(np.prod(
             [shape[a] for a in _norm_axes(axis, self.ndim)]))
 
         def back(g):
-            return (_expand_reduced(g, shape, axis, keepdims) / count,)
+            return (_expand_reduced(g, shape, axis) / count,)
 
         return _node("mean", np.asarray(out), (self,), back)
 
@@ -283,10 +283,8 @@ def _norm_axes(axis, ndim):
     return tuple(a % ndim for a in axis)
 
 
-def _expand_reduced(g, shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
+def _expand_reduced(g, shape, axis):
+    if axis is not None:
         g = np.expand_dims(g, _norm_axes(axis, len(shape)))
     return np.broadcast_to(g, shape)
 

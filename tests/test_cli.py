@@ -207,6 +207,25 @@ def test_cifar10_size_mismatch_exits_1_and_leaves_the_directory_usable(
     assert run("train-dae", "--config", fits, "--run-dir", str(run_dir)) == 0
 
 
+def test_a_class_short_of_its_subset_share_exits_1_and_leaves_the_directory_usable(
+        tmp_path, capsys, cifar_batches):
+    # class 3 keeps 2 of its 8 images, and a 24-image subset takes 6 from each class
+    full = data.make_synthetic(4, 8, 32, seed=0)
+    kept = np.flatnonzero((full.labels != 3) | (np.cumsum(full.labels == 3) <= 2))
+    data.save_cifar10_binary(data.subset(full, kept), tmp_path / "uneven")
+    changes = (("channels = 3\n", "channels = 3\nsubset_size = 24\n"), ("k = 8", "k = 4"),
+               ("p = 8", "p = 4"), ("finetune_fraction = 0.10", "finetune_fraction = 0.5"))
+    run_dir = tmp_path / "r"
+    uneven = _cifar_tiny(tmp_path, "uneven.ini", tmp_path / "uneven", *changes)
+    assert run("train-dae", "--config", uneven, "--run-dir", str(run_dir)) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "  dataset.subset_size: 24 takes 6 images from class 3, which has only 2"]
+    assert [p.name for p in run_dir.iterdir()] == ["run.json"]
+    fits = _cifar_tiny(tmp_path, "fits.ini", cifar_batches, *changes)
+    assert run("train-dae", "--config", fits, "--run-dir", str(run_dir)) == 0
+    assert json.loads((run_dir / "run.json").read_text())["config_hash"] == _hash(load_config(fits))
+
+
 @pytest.mark.parametrize("command", ["plan", "train-contrastive", "probe", "finetune",
                                      "pipeline"])
 def test_mode_defaults_to_guided(tmp_path, monkeypatch, command):
@@ -398,6 +417,46 @@ def test_dataset_meta_is_not_rewritten(pipeline_dir, monkeypatch):
     assert (pipeline_dir / "dataset_meta.json").read_bytes() == before
 
 
+def test_a_changed_dataset_is_refused_and_writes_nothing(tmp_path, capsys, cifar_batches):
+    config, run_dir = _cifar_tiny(tmp_path, "cifar.ini", cifar_batches), tmp_path / "r"
+    original = contents(cifar_batches)
+
+    def batches(seed):
+        data.save_cifar10_binary(data.make_synthetic(4, 8, 32, seed=seed), cifar_batches)
+        assert (contents(cifar_batches) == original) == (seed == 0)
+        return artifacts.dataset_fingerprint(pipeline.resolve_dataset(load_config(config)))
+
+    def gcontrast(*argv):
+        return run(*argv, "--config", config, "--run-dir", str(run_dir))
+
+    def refused(*argv):
+        before = contents(run_dir)
+        capsys.readouterr()
+        assert gcontrast(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert bound in err and changed in err and "--run-dir" in err, argv
+        assert contents(run_dir) == before, argv
+
+    assert gcontrast("train-dae") == 0 and gcontrast("cluster") == 0
+    bound = json.loads((run_dir / "dataset_meta.json").read_text())["dataset_hash"]
+    changed = batches(seed=1)
+    assert changed != bound
+    refused("train-dae", "--force")
+    for mode in ("guided", "random"):
+        for command in ("plan", "train-contrastive", "pipeline"):
+            refused(command, "--mode", mode)
+    assert batches(seed=0) == bound
+    for mode in ("guided", "random"):
+        assert gcontrast("pipeline", "--mode", mode) == 0
+    assert gcontrast("report") == 0
+    batches(seed=1)
+    for mode in ("guided", "random"):
+        for command in ("probe", "finetune"):
+            refused(command, "--mode", mode, "--force")
+    batches(seed=0)
+    assert gcontrast("report") == 0
+
+
 def _comparison_script():
     spec = importlib.util.spec_from_file_location(
         "run_comparison", ROOT / "scripts" / "run_comparison.py")
@@ -428,6 +487,18 @@ def test_run_comparison_refuses_a_bad_seed_list_with_usage(tmp_path, capsys, see
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "error: argument --seeds: " in err
     assert not root.exists()
+
+
+def test_run_comparison_reports_a_runtime_failure_as_the_cli_does(tmp_path, capsys):
+    config = _cifar_tiny(tmp_path, "nowhere.ini", tmp_path / "nowhere")
+    assert run("train-dae", "--config", config, "--run-dir", str(tmp_path / "r")) == 2
+    cli_err = capsys.readouterr().err
+    script = _comparison_script()
+    assert script.main(["--config", config, "--run-root", str(tmp_path / "root"),
+                        "--seeds", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == cli_err
+    assert cli_err.startswith("runtime failure: missing batch file") and cli_err.count("\n") == 1
 
 
 def test_forced_probe_rewrites_results_once(pipeline_dir, monkeypatch):
@@ -504,23 +575,12 @@ def test_plan_file_holds_the_trained_batches(tmp_path, monkeypatch):
                            for bi, batch in enumerate(plan.batches)], mode
 
 
-def test_results_records_carry_hashes(pipeline_dir):
+def test_results_records_hold_method_eval_accuracy_and_seed(pipeline_dir):
     records = [json.loads(line) for line in
                (pipeline_dir / "results.jsonl").read_text().splitlines()]
     assert records
     for r in records:
-        assert set(r) == {"method", "eval_name", "accuracy", "seed", "dataset_hash"}
-
-
-def test_report_refuses_mixed_dataset_hashes(pipeline_dir, capsys):
-    path = pipeline_dir / "results.jsonl"
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    tampered = dict(records[0], dataset_hash="deadbeefdeadbeef", eval_name="P9")
-    with path.open("a") as fh:
-        fh.write(json.dumps(tampered) + "\n")
-    rc = run("report", "--config", TINY, "--run-dir", str(pipeline_dir))
-    assert rc == 2
-    assert "refusing" in capsys.readouterr().err
+        assert set(r) == {"method", "eval_name", "accuracy", "seed"}
 
 
 def test_two_pipeline_runs_byte_identical(tmp_path):

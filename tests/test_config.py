@@ -139,6 +139,17 @@ def test_dataset_may_be_clustered_whole():
     assert validate(config) == ["cluster.k: 128 exceeds the 127 images it clusters"]
 
 
+def test_a_class_short_of_its_subset_share_names_subset_size():
+    # a 24-image subset of 4 classes takes 6 from each
+    config = load_config(CONFIGS / "tiny.ini")
+    config.dataset.subset_size, config.cluster.k = 24, 4
+    config.eval.finetune_fraction = 0.5
+    assert dataset_size_errors(config, {0: 8, 1: 6, 2: 8, 3: 6}) == []
+    assert dataset_size_errors(config, {0: 9, 1: 5, 2: 9, 3: 2}) == [
+        "dataset.subset_size: 24 takes 6 images from class 1, which has only 5",
+        "dataset.subset_size: 24 takes 6 images from class 3, which has only 2"]
+
+
 def test_removed_mode_key_is_unknown(tmp_path):
     # the batching mode is chosen per command with --mode
     bad = tmp_path / "bad.ini"
