@@ -13,9 +13,9 @@ for context.
 import argparse
 import sys
 
-from gcontrast.cli import RUNTIME_ERRORS
-from gcontrast.config import ConfigError, load_config
-from gcontrast.pipeline import MissingArtifactError, render_report, run_mode_comparison
+from gcontrast.cli import REFUSALS, RUNTIME_ERRORS
+from gcontrast.config import load_config
+from gcontrast.pipeline import render_report, run_mode_comparison
 
 
 def seed_list(text):
@@ -42,7 +42,7 @@ def main(argv=None):
     try:
         config = load_config(args.config)
         table = run_mode_comparison(config, args.run_root, args.seeds, force=args.force)
-    except (ConfigError, MissingArtifactError) as err:
+    except REFUSALS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except RUNTIME_ERRORS as err:

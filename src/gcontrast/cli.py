@@ -12,6 +12,7 @@ from .data import DataFormatError
 from .optim import TrainingDivergedError
 from .pipeline import (
     MissingArtifactError,
+    RunDirectoryError,
     Workspace,
     stage_cluster,
     stage_finetune,
@@ -25,7 +26,8 @@ from .pipeline import (
 
 STAGE_COMMANDS = ("train-dae", "cluster", "plan", "train-contrastive",
                   "probe", "finetune", "pipeline", "report")
-# the failures that exit 2, here and in scripts/run_comparison.py
+# the failures that exit 1 and 2, here and in scripts/run_comparison.py
+REFUSALS = (ConfigError, RunDirectoryError, MissingArtifactError)
 RUNTIME_ERRORS = (TrainingDivergedError, DataFormatError, ValueError, OSError)
 
 
@@ -69,7 +71,7 @@ def main(argv=None):
             stage_pipeline(ws, args.mode, force=args.force)
         elif args.command == "report":
             stage_report(ws)
-    except (ConfigError, MissingArtifactError) as err:
+    except REFUSALS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except RUNTIME_ERRORS as err:

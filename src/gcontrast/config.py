@@ -252,6 +252,7 @@ def validate(config: RunConfig):
     errors.extend(_blocks_errors("contrastive.encoder_blocks", t.encoder_blocks))
 
     e = config.eval
+    check(e.tap_points, "eval.tap_points: need at least one of P1/P2/P3")
     check(all(p in ("P1", "P2", "P3") for p in e.tap_points),
           f"eval.tap_points: entries must be P1/P2/P3, got {e.tap_points}")
     check(len(set(e.tap_points)) == len(e.tap_points),

@@ -90,11 +90,14 @@ def _check_grads(params, grads, op):
 def run_epoch(epoch, batches, step, history):
     """The values of step(epoch, batch_index, batch) over the batches, in
     order. A non-finite value inside a step is raised as
-    TrainingDivergedError at (epoch, batch_index), carrying `history`."""
+    TrainingDivergedError at (epoch, batch_index), carrying `history`;
+    numpy's overflow warnings stay silent, as the finiteness checks
+    screen every value."""
     values = []
     for bi, batch in enumerate(batches):
         try:
-            values.append(step(epoch, bi, batch))
+            with np.errstate(over="ignore", invalid="ignore"):
+                values.append(step(epoch, bi, batch))
         except NonFiniteError as err:
             raise TrainingDivergedError(epoch, bi, err, history) from err
     return values
@@ -147,7 +150,8 @@ def fit_early_stopping(params, rows, batch_size, shuffle_seed, step, val_loss,
         for loss, batch in zip(run_epoch(epoch, batches, step, history), batches):
             total += loss * len(batch)
         try:
-            val = val_loss()
+            with np.errstate(over="ignore", invalid="ignore"):
+                val = val_loss()
         except NonFiniteError as err:
             raise TrainingDivergedError(epoch, "validation", err, history) from err
         history.train_loss.append(total / len(order))

@@ -1,11 +1,11 @@
 """Pipeline stages behind the CLI commands.
 
 Each stage reads and writes artifacts under one run directory, which
-is bound to one config by its `run.json`. `OUTPUTS` lists the files
-each stage writes: a stage whose files all exist is skipped on re-run
-unless forced, and a stage missing any file of an upstream stage names
-that stage's command. Artifact files never contain timestamps, so
-identical configurations yield byte-identical runs.
+`run.json` binds to one config and one dataset. `OUTPUTS` lists the
+files each stage writes: a stage whose files all exist is skipped on
+re-run unless forced, and a stage missing any file of an upstream
+stage names that stage's command. Artifact files never contain
+timestamps, so identical configurations yield byte-identical runs.
 """
 
 import copy
@@ -61,54 +61,52 @@ def _method_tag(mode):
     return "guided" if mode == "guided" else "random-baseline"
 
 
+class RunDirectoryError(Exception):
+    """The run directory belongs to another config or dataset."""
+
+
 class Workspace:
     """One run directory plus the resolved config and lazy dataset.
 
-    The directory belongs to one config and one dataset: the first
-    command writes the config hash to `run.json`, the first dataset read
-    writes `dataset_meta.json`, and a command under another config, in a
-    directory that holds files but no `run.json`, or reading another
-    dataset is refused before it writes anything. So every artifact that
-    exists is current. A directory holding nothing but `run.json` (its
-    first command failed before writing anything else) is rebound to the
-    current config.
+    `run.json` binds the directory to one config and one dataset: the
+    first command records the config hash, the first dataset read the
+    dataset hash. A command under another config, reading another dataset, or
+    in a directory holding outputs without the hash is refused before
+    it writes anything, so every artifact that exists is current. A
+    directory holding only `run.json` (its first command failed before
+    writing an output) is bound anew.
     """
 
     def __init__(self, config: RunConfig, run_dir):
         self.config = config
         self.run_dir = str(run_dir)
-        config_hash = config_fingerprint(config.to_dict())
-        bound = self.path("run.json")
         entries = os.listdir(self.run_dir) if os.path.isdir(self.run_dir) else []
-        if entries and entries != ["run.json"]:
-            stored = (read_json(bound)["config_hash"] if "run.json" in entries
-                      else "unknown (it holds files but no run.json)")
-        else:
-            os.makedirs(self.run_dir, exist_ok=True)
-            write_json(bound, {"config_hash": config_hash})
-            stored = config_hash
-        if stored != config_hash:
-            raise ConfigError([f"run directory {self.run_dir} belongs to config hash {stored}, "
-                               f"not to this config's {config_hash}; use another --run-dir"])
+        self._used = entries not in ([], ["run.json"])
+        self._bound = (read_json(self.path("run.json")) if self._used and "run.json" in entries
+                       else {})
+        os.makedirs(self.run_dir, exist_ok=True)
+        self._bind("config", config_fingerprint(config.to_dict()))
         self._dataset = None
 
     def path(self, name):
         return os.path.join(self.run_dir, name)
 
+    def _bind(self, what, value):
+        """Record `{what}_hash` in run.json, or refuse another or a missing value."""
+        key = f"{what}_hash"
+        if key not in self._bound and not self._used:
+            self._bound[key] = value
+            write_json(self.path("run.json"), self._bound)
+        stored = self._bound.get(key, f"unknown (it holds files but no run.json with {key})")
+        if stored != value:
+            raise RunDirectoryError(f"run directory {self.run_dir} belongs to {what} hash {stored}, "
+                                    f"not to this {what}'s {value}; use another --run-dir")
+
     @property
     def dataset(self):
         if self._dataset is None:
             dataset = resolve_dataset(self.config)
-            meta = {"dataset_hash": dataset_fingerprint(dataset), "source": dataset.source,
-                    "n": len(dataset), "num_classes": dataset.num_classes}
-            path = self.path("dataset_meta.json")
-            if not os.path.exists(path):
-                write_json(path, meta)
-            stored = read_json(path)
-            if stored != meta:
-                raise ConfigError([f"run directory {self.run_dir} belongs to dataset hash "
-                                   f"{stored['dataset_hash']}, not to this dataset's "
-                                   f"{meta['dataset_hash']}; use another --run-dir"])
+            self._bind("dataset", dataset_fingerprint(dataset))
             self._dataset = dataset
         return self._dataset
 

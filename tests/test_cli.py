@@ -68,8 +68,8 @@ def test_readme_layout_names_every_file_of_a_finished_run(finished_dir):
 
 
 def test_pipeline_produces_expected_artifacts(pipeline_dir):
-    for name in ("run.json", "dataset_meta.json", "dae_checkpoint.json", "dae_checkpoint.bin",
-                 "dae_history.csv", "latents.json", "latents.bin", "pseudo_labels.csv",
+    for name in ("run.json", "dae_checkpoint.json", "dae_checkpoint.bin", "dae_history.csv",
+                 "latents.json", "latents.bin", "pseudo_labels.csv",
                  "plan_guided.jsonl", "contrastive_guided_encoder.json",
                  "contrastive_guided_loss.csv", "results.jsonl"):
         assert (pipeline_dir / name).exists(), name
@@ -184,6 +184,19 @@ def test_failed_first_command_leaves_the_directory_to_the_corrected_config(
     assert run("train-dae", "--config", fixed, "--run-dir", str(run_dir)) == 0
     bound = json.loads((run_dir / "run.json").read_text())["config_hash"]
     assert bound == _hash(load_config(fixed))
+
+
+def test_a_diverged_first_command_leaves_the_directory_to_the_corrected_config(tmp_path, capsys):
+    # the failed command read the dataset, so its run.json bound the dataset
+    # hash too; still nothing but run.json is left, and that is rebound
+    run_dir = tmp_path / "r"
+    diverging = _tiny_with(tmp_path, "batch_size = 16\n", "batch_size = 16\nadam_lr = 1e30\n")
+    assert run("train-dae", "--config", diverging, "--run-dir", str(run_dir)) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("runtime failure: training diverged at epoch 1, batch 1")
+    assert [p.name for p in run_dir.iterdir()] == ["run.json"]
+    assert run("train-dae", "--config", TINY, "--run-dir", str(run_dir)) == 0
+    assert json.loads((run_dir / "run.json").read_text())["config_hash"] == "484eb283e14c887f"
 
 
 @pytest.mark.parametrize("change, key", [
@@ -390,6 +403,7 @@ def test_another_config_is_refused_and_writes_nothing(finished_dir, tmp_path, ca
         other.seed = 123
     bound, other = _hash(load_config(TINY)), _hash(other)
     assert bound != other and bound in err and other in err and "--run-dir" in err
+    assert err.startswith("error: run directory ") and "invalid config:" not in err
     assert contents(finished_dir) == before
 
 
@@ -403,9 +417,25 @@ def test_used_directory_without_run_json_is_refused(tmp_path, capsys, command):
     assert [p.name for p in run_dir.iterdir()] == ["results.jsonl"]
 
 
-def test_dataset_meta_is_not_rewritten(pipeline_dir, monkeypatch):
-    # it describes the dataset, which one run directory's config fixes
-    before = (pipeline_dir / "dataset_meta.json").read_bytes()
+def test_used_directory_without_a_dataset_hash_is_refused_at_the_dataset_read(
+        finished_dir, tmp_path, capsys):
+    # a run.json written before it held the dataset hash: commands that read
+    # no images still run, and the first one that reads the dataset is refused
+    run_dir = tmp_path / "old"
+    shutil.copytree(finished_dir, run_dir)
+    (run_dir / "run.json").write_text(json.dumps({"config_hash": _hash(load_config(TINY))}))
+    before = contents(run_dir)
+    assert run("report", "--config", TINY, "--run-dir", str(run_dir)) == 0
+    capsys.readouterr()
+    assert run("plan", "--config", TINY, "--run-dir", str(run_dir), "--force") == 1
+    assert "holds files but no run.json with dataset_hash" in capsys.readouterr().err
+    assert contents(run_dir) == before
+
+
+def test_run_json_is_not_rewritten_once_it_holds_both_hashes(pipeline_dir, monkeypatch):
+    # it binds the config and the dataset, which one run directory's config fixes
+    before = (pipeline_dir / "run.json").read_bytes()
+    assert set(json.loads(before)) == {"config_hash", "dataset_hash"}
     renamed, replace = [], os.replace
     monkeypatch.setattr(artifacts.os, "replace",
                         lambda src, dst: renamed.append(os.path.basename(dst)) or replace(src, dst))
@@ -413,8 +443,8 @@ def test_dataset_meta_is_not_rewritten(pipeline_dir, monkeypatch):
                "--mode", "random") == 0
     assert run("train-contrastive", "--config", TINY, "--run-dir", str(pipeline_dir),
                "--mode", "random", "--force") == 0
-    assert "plan_random.jsonl" in renamed and "dataset_meta.json" not in renamed
-    assert (pipeline_dir / "dataset_meta.json").read_bytes() == before
+    assert "plan_random.jsonl" in renamed and "run.json" not in renamed
+    assert (pipeline_dir / "run.json").read_bytes() == before
 
 
 def test_a_changed_dataset_is_refused_and_writes_nothing(tmp_path, capsys, cifar_batches):
@@ -435,10 +465,12 @@ def test_a_changed_dataset_is_refused_and_writes_nothing(tmp_path, capsys, cifar
         assert gcontrast(*argv) == 1, argv
         err = capsys.readouterr().err
         assert bound in err and changed in err and "--run-dir" in err, argv
+        assert err.splitlines()[-1].startswith("error: run directory "), argv
+        assert "invalid config:" not in err, argv
         assert contents(run_dir) == before, argv
 
     assert gcontrast("train-dae") == 0 and gcontrast("cluster") == 0
-    bound = json.loads((run_dir / "dataset_meta.json").read_text())["dataset_hash"]
+    bound = json.loads((run_dir / "run.json").read_text())["dataset_hash"]
     changed = batches(seed=1)
     assert changed != bound
     refused("train-dae", "--force")

@@ -130,6 +130,15 @@ def test_repeated_tap_point_reported(tmp_path):
         load_config(bad)
 
 
+def test_empty_tap_points_reported(tmp_path):
+    # no tap point would leave `probe` nothing to run and nothing to record
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[eval]\ntap_points =\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(bad)
+    assert excinfo.value.errors == ["eval.tap_points: need at least one of P1/P2/P3"]
+
+
 def test_dataset_may_be_clustered_whole():
     # k and subset_size may each equal the image count they are checked against
     config = load_config(CONFIGS / "tiny.ini")

@@ -115,8 +115,8 @@ STAGE_OUTPUTS = {
     "probe, finetune": {"results.jsonl"},
 }
 REPORT_OUTPUTS = {"report_table.csv", "report_losses.csv"}
-# the directory's binding and the dataset description, written by no stage
-WORKSPACE_FILES = {"run.json", "dataset_meta.json"}
+# the directory's binding to its config and dataset, written by no stage
+WORKSPACE_FILES = {"run.json"}
 
 
 def test_deleting_any_output_reruns_its_stage_only(tmp_path, monkeypatch):
