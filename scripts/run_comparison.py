@@ -13,7 +13,7 @@ for context.
 import argparse
 import sys
 
-from gcontrast.cli import REFUSALS, RUNTIME_ERRORS
+from gcontrast.cli import exit_status
 from gcontrast.config import load_config
 from gcontrast.pipeline import render_report, run_mode_comparison
 
@@ -39,19 +39,14 @@ def main(argv=None):
     parser.add_argument("--force", action="store_true")
     args = parser.parse_args(argv)
 
-    try:
-        config = load_config(args.config)
-        table = run_mode_comparison(config, args.run_root, args.seeds, force=args.force)
-    except REFUSALS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except RUNTIME_ERRORS as err:
-        print(f"runtime failure: {err}", file=sys.stderr)
-        return 2
-    _, text, _ = render_report(table)
-    print(f"\nmean validation accuracy over seeds {args.seeds}")
-    print(text)
-    return 0
+    def compare():
+        table = run_mode_comparison(load_config(args.config), args.run_root, args.seeds,
+                                    force=args.force)
+        _, text, _ = render_report(table)
+        print(f"\nmean validation accuracy over seeds {args.seeds}")
+        print(text)
+
+    return exit_status(compare)
 
 
 if __name__ == "__main__":

@@ -76,14 +76,11 @@ def read_json(path):
 def load_checkpoint(stem):
     manifest = read_json(stem + ".json")
     raw = np.fromfile(stem + ".bin", dtype="<f4")
-    arrays, offset = [], 0
-    for shape in manifest["param_shapes"]:
-        count = int(np.prod(shape)) if shape else 1
-        arrays.append(raw[offset:offset + count].reshape(shape).copy())
-        offset += count
-    if offset != raw.size:
-        raise ValueError(f"{stem}.bin holds {raw.size} floats, manifest expects {offset}")
-    return manifest, arrays
+    ends = np.cumsum([0] + [int(np.prod(shape)) for shape in manifest["param_shapes"]])
+    if ends[-1] != raw.size:
+        raise ValueError(f"{stem}.bin holds {raw.size} floats, manifest expects {ends[-1]}")
+    return manifest, [raw[start:end].reshape(shape).copy() for start, end, shape
+                      in zip(ends, ends[1:], manifest["param_shapes"])]
 
 
 # ---- CSV ----

@@ -1,32 +1,38 @@
 """Command line entry point: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime
-failure.
+failure; a flag the command does not take is a usage error, exit 2.
 """
 
 import argparse
 import sys
 
+from . import pipeline
 from .config import ConfigError, load_config
 from .data import DataFormatError
 from .optim import TrainingDivergedError
-from .pipeline import (
-    MissingArtifactError,
-    RunDirectoryError,
-    Workspace,
-    stage_cluster,
-    stage_finetune,
-    stage_pipeline,
-    stage_plan,
-    stage_probe,
-    stage_report,
-    stage_train_contrastive,
-    stage_train_dae,
-)
+from .pipeline import MissingArtifactError, RunDirectoryError, Workspace
 
-STAGE_COMMANDS = ("train-dae", "cluster", "plan", "train-contrastive",
-                  "probe", "finetune", "pipeline", "report")
-# the failures that exit 1 and 2, here and in scripts/run_comparison.py
+# the flags besides --config and --run-dir, each passed to a stage as the
+# keyword argument of its name
+FLAGS = {
+    "--mode": dict(choices=("guided", "random"), default="guided",
+                   help="batching mode (default: guided)"),
+    "--force": dict(action="store_true", help="recompute even when artifacts are up to date"),
+}
+# each command's stage and the flags it takes
+COMMANDS = {
+    "train-dae": (pipeline.stage_train_dae, ("--force",)),
+    "cluster": (pipeline.stage_cluster, ("--force",)),
+    "plan": (pipeline.stage_plan, ("--mode", "--force")),
+    "train-contrastive": (pipeline.stage_train_contrastive, ("--mode", "--force")),
+    "probe": (pipeline.stage_probe, ("--mode", "--force")),
+    "finetune": (pipeline.stage_finetune, ("--mode", "--force")),
+    "pipeline": (pipeline.stage_pipeline, ("--mode", "--force")),
+    "report": (pipeline.stage_report, ()),
+}
+STAGE_COMMANDS = tuple(COMMANDS)
+# the failures `exit_status` maps to exit 1 and to exit 2
 REFUSALS = (ConfigError, RunDirectoryError, MissingArtifactError)
 RUNTIME_ERRORS = (TrainingDivergedError, DataFormatError, ValueError, OSError)
 
@@ -36,41 +42,20 @@ def build_parser():
         prog="gcontrast",
         description="Pseudo-label-guided batch construction for contrastive training")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in STAGE_COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="INI config file")
         cmd.add_argument("--run-dir", required=True, help="artifact directory")
-        cmd.add_argument("--mode", choices=("guided", "random"), default="guided",
-                         help="batching mode (default: guided)")
-        cmd.add_argument("--seed", type=int, default=None, help="override the global seed")
-        cmd.add_argument("--force", action="store_true",
-                         help="recompute even when artifacts are up to date")
+        for flag in flags:
+            cmd.add_argument(flag, **FLAGS[flag])
     return parser
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+def exit_status(action):
+    """Run `action()`: 0 when it returns, 1 after printing `error: …` for a
+    refusal, 2 after printing `runtime failure: …` for a runtime error."""
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        ws = Workspace(config, args.run_dir)
-        if args.command == "train-dae":
-            stage_train_dae(ws, force=args.force)
-        elif args.command == "cluster":
-            stage_cluster(ws, force=args.force)
-        elif args.command == "plan":
-            stage_plan(ws, args.mode, force=args.force)
-        elif args.command == "train-contrastive":
-            stage_train_contrastive(ws, args.mode, force=args.force)
-        elif args.command == "probe":
-            stage_probe(ws, args.mode, force=args.force)
-        elif args.command == "finetune":
-            stage_finetune(ws, args.mode, force=args.force)
-        elif args.command == "pipeline":
-            stage_pipeline(ws, args.mode, force=args.force)
-        elif args.command == "report":
-            stage_report(ws)
+        action()
     except REFUSALS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -78,6 +63,13 @@ def main(argv=None):
         print(f"runtime failure: {err}", file=sys.stderr)
         return 2
     return 0
+
+
+def main(argv=None):
+    flags = vars(build_parser().parse_args(argv))
+    stage = COMMANDS[flags.pop("command")][0]
+    config, run_dir = flags.pop("config"), flags.pop("run_dir")
+    return exit_status(lambda: stage(Workspace(load_config(config), run_dir), **flags))
 
 
 if __name__ == "__main__":

@@ -218,6 +218,7 @@ def validate(config: RunConfig):
     check(d.per_class >= 1, f"dataset.per_class: must be >= 1, got {d.per_class}")
     check(d.image_size >= 2, f"dataset.image_size: must be >= 2, got {d.image_size}")
     check(d.channels >= 1, f"dataset.channels: must be >= 1, got {d.channels}")
+    check(d.noise_sigma >= 0, f"dataset.noise_sigma: must be >= 0, got {d.noise_sigma}")
     if d.source == "synthetic" and d.per_class >= 1:
         errors.extend(dataset_size_errors(config, dict.fromkeys(range(d.classes), d.per_class)))
 
@@ -249,6 +250,8 @@ def validate(config: RunConfig):
     check(t.epochs >= 1, f"contrastive.epochs: must be >= 1, got {t.epochs}")
     check(t.base_lr > 0, f"contrastive.base_lr: must be > 0, got {t.base_lr}")
     check(len(t.head_widths) == 3, f"contrastive.head_widths: need exactly 3, got {len(t.head_widths)}")
+    check(min(t.head_widths, default=1) >= 1, "contrastive.head_widths: widths must be >= 1, got "
+          + ", ".join(str(w) for w in t.head_widths if w < 1))
     errors.extend(_blocks_errors("contrastive.encoder_blocks", t.encoder_blocks))
 
     e = config.eval

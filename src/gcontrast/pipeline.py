@@ -74,14 +74,15 @@ class Workspace:
     in a directory holding outputs without the hash is refused before
     it writes anything, so every artifact that exists is current. A
     directory holding only `run.json` (its first command failed before
-    writing an output) is bound anew.
+    writing an output) is bound anew. `.tmp` files, which a killed write
+    leaves, are not outputs.
     """
 
     def __init__(self, config: RunConfig, run_dir):
         self.config = config
         self.run_dir = str(run_dir)
         entries = os.listdir(self.run_dir) if os.path.isdir(self.run_dir) else []
-        self._used = entries not in ([], ["run.json"])
+        self._used = any(name != "run.json" and not name.endswith(".tmp") for name in entries)
         self._bound = (read_json(self.path("run.json")) if self._used and "run.json" in entries
                        else {})
         os.makedirs(self.run_dir, exist_ok=True)

@@ -1,6 +1,8 @@
 """CLI stages: artifact chaining, idempotency, errors, determinism."""
 
+import ast
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -199,6 +201,24 @@ def test_a_diverged_first_command_leaves_the_directory_to_the_corrected_config(t
     assert json.loads((run_dir / "run.json").read_text())["config_hash"] == "484eb283e14c887f"
 
 
+@pytest.mark.parametrize("left", [("run.json", "dae_checkpoint.bin.tmp"), ("run.json.tmp",)],
+                         ids=["outputs-tmp", "run-json-tmp"])
+def test_a_killed_first_write_leaves_the_directory_to_the_corrected_config(tmp_path, left):
+    # a kill skips the removal of a write's .tmp file, which is not an output
+    run_dir, clean = tmp_path / "r", tmp_path / "clean"
+    assert run("train-dae", "--config", TINY, "--run-dir", str(run_dir)) == 0
+    for path in run_dir.iterdir():
+        if path.name + ".tmp" in left:  # killed before its rename
+            path.rename(path.with_name(path.name + ".tmp"))
+        elif path.name not in left:
+            path.unlink()
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(left)
+    fixed = _tiny_with(tmp_path, "seed = 0", "seed = 5")
+    assert run("train-dae", "--config", fixed, "--run-dir", str(run_dir)) == 0
+    assert run("train-dae", "--config", fixed, "--run-dir", str(clean)) == 0
+    assert contents(run_dir) == contents(clean)
+
+
 @pytest.mark.parametrize("change, key", [
     (("k = 8", "k = 33"), "cluster.k: 33 exceeds the 32 images it clusters"),
     (("channels = 3\n", "channels = 3\nsubset_size = 33\n"),
@@ -243,10 +263,58 @@ def test_a_class_short_of_its_subset_share_exits_1_and_leaves_the_directory_usab
                                      "pipeline"])
 def test_mode_defaults_to_guided(tmp_path, monkeypatch, command):
     modes = []
-    monkeypatch.setattr(cli, "stage_" + command.replace("-", "_"),
-                        lambda ws, mode, **kwargs: modes.append(mode))
+    monkeypatch.setitem(cli.COMMANDS, command, (lambda ws, mode, **kwargs: modes.append(mode),
+                                                cli.COMMANDS[command][1]))
     assert run(command, "--config", TINY, "--run-dir", str(tmp_path / "r")) == 0
     assert modes == ["guided"]
+
+
+# each flag with a value, --seed included, which no command takes
+FLAG_ARGV = {"--mode": ("--mode", "random"), "--force": ("--force",), "--seed": ("--seed", "1")}
+
+
+@pytest.mark.parametrize("command", STAGE_COMMANDS)
+def test_each_command_takes_exactly_the_flags_of_its_table_row(finished_dir, tmp_path, capsys,
+                                                               command):
+    stage, flags = cli.COMMANDS[command]
+    names = [flag.removeprefix("--") for flag in flags]
+    assert set(FLAG_ARGV) == {*cli.FLAGS, "--seed"}
+    # each flag reaches the stage as the keyword argument of its name
+    assert list(inspect.signature(stage).parameters)[1:] == names
+    for flag in flags:
+        args = cli.build_parser().parse_args([command, "--config", TINY, "--run-dir", "r",
+                                              *FLAG_ARGV[flag]])
+        assert set(vars(args)) == {"command", "config", "run_dir", *names}
+    before = contents(finished_dir)
+    for flag in sorted(set(FLAG_ARGV) - set(flags)):
+        for run_dir in (finished_dir, tmp_path / "new"):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as excinfo:
+                run(command, "--config", TINY, "--run-dir", str(run_dir), *FLAG_ARGV[flag])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: gcontrast"), (flag, err)
+            assert f"unrecognized arguments: {' '.join(FLAG_ARGV[flag])}" in err, (flag, err)
+    assert contents(finished_dir) == before
+    assert not (tmp_path / "new").exists()
+
+
+def test_commands_branch_nowhere_but_the_table():
+    # cli.py names each command once, as its table key, and maps the exit
+    # codes once; the comparison script maps them through cli
+    tree = ast.parse(Path(cli.__file__).read_text())
+    nodes = list(ast.walk(tree))
+    named = [node.value for node in nodes if isinstance(node, ast.Constant)
+             and node.value in STAGE_COMMANDS]
+    assert sorted(named) == sorted(STAGE_COMMANDS)
+    functions = [node for node in nodes if isinstance(node, ast.FunctionDef)]
+    assert not [node for function in functions for node in ast.walk(function)
+                if isinstance(node, (ast.If, ast.IfExp, ast.Match))]
+    assert len([node for node in nodes if isinstance(node, ast.Try)]) == 1
+    script = ast.parse((ROOT / "scripts" / "run_comparison.py").read_text())
+    (script_main,) = [node for node in script.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    assert not [node for node in ast.walk(script_main) if isinstance(node, ast.Try)]
 
 
 def _supervised_tiny(tmp_path):
@@ -286,11 +354,11 @@ def test_stages_one_by_one_record_what_pipeline_records(tmp_path):
     for mode in ("guided", "random"):
         assert run("pipeline", "--config", config, "--run-dir", str(tmp_path / "whole"),
                    "--mode", mode) == 0
-        commands = ("train-dae", "cluster") * (mode == "guided") + (
-            "plan", "train-contrastive", "probe", "finetune")
-        for command in commands:
-            assert run(command, "--config", config, "--run-dir", str(tmp_path / "staged"),
-                       "--mode", mode) == 0
+        argvs = [(command,) for command in ("train-dae", "cluster") if mode == "guided"]
+        argvs += [(command, "--mode", mode)
+                  for command in ("plan", "train-contrastive", "probe", "finetune")]
+        for argv in argvs:
+            assert run(*argv, "--config", config, "--run-dir", str(tmp_path / "staged")) == 0
     records = (tmp_path / "whole" / "results.jsonl").read_text()
     assert "supervised-reference" in records
     assert (tmp_path / "staged" / "results.jsonl").read_text() == records
@@ -312,8 +380,7 @@ def test_force_retrains_the_supervised_reference_under_guided_only(tmp_path, cap
     assert capsys.readouterr().err.count("supervised reference: ") == 1
     run_dir = root / "seed0"
     (row,) = _supervised_rows(run_dir)
-    argv = ("probe", "--config", config_path, "--run-dir", str(run_dir), "--seed", "0",
-            "--force", "--mode")
+    argv = ("probe", "--config", config_path, "--run-dir", str(run_dir), "--force", "--mode")
     assert run(*argv, "random") == 0
     assert "supervised reference: " not in capsys.readouterr().err
     assert _supervised_rows(run_dir) == [row]
@@ -357,6 +424,21 @@ def test_a_missing_upstream_file_is_refused_naming_its_command(finished_dir, tmp
             assert contents(run_dir) == before, (name, argv)
 
 
+@pytest.mark.parametrize("cut", [4 * 64, 2], ids=["a-latent-row", "half-a-float"])
+def test_a_truncated_checkpoint_is_a_runtime_failure_naming_the_file(finished_dir, tmp_path,
+                                                                     capsys, cut):
+    run_dir = tmp_path / "cut"
+    shutil.copytree(finished_dir, run_dir)
+    latents = run_dir / "latents.bin"
+    latents.write_bytes(latents.read_bytes()[:-cut])
+    before = contents(run_dir)
+    capsys.readouterr()
+    assert run("cluster", "--config", TINY, "--run-dir", str(run_dir), "--force") == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"runtime failure: {latents} holds ")
+    assert contents(run_dir) == before
+
+
 def test_rerun_is_noop_without_force(pipeline_dir, capsys):
     before = (pipeline_dir / "dae_checkpoint.bin").read_bytes()
     assert run("train-dae", "--config", TINY, "--run-dir", str(pipeline_dir)) == 0
@@ -385,23 +467,26 @@ def _hash(config):
     return config_fingerprint(config.to_dict())
 
 
+def _taken(command, *flags):
+    """The `flags` that `command` takes."""
+    return [flag for flag in flags if flag in cli.COMMANDS[command][1]]
+
+
 @pytest.mark.parametrize("variant", ["changed", "changed --force", "seed"])
 @pytest.mark.parametrize("command", STAGE_COMMANDS)
 def test_another_config_is_refused_and_writes_nothing(finished_dir, tmp_path, capsys,
                                                       command, variant):
+    # another seed is another config: [run] seed is the only way to set it
     before = contents(finished_dir)
     if variant == "seed":
-        config, extra = TINY, ["--seed", "123"]
+        config = _tiny_with(tmp_path, "seed = 0", "seed = 123")
     else:
         config = _tiny_with(tmp_path, "probe_epochs = 10", "probe_epochs = 3")
-        extra = variant.split()[1:]
+    extra = _taken(command, *variant.split()[1:])
     capsys.readouterr()
     assert run(command, "--config", config, "--run-dir", str(finished_dir), *extra) == 1
     err = capsys.readouterr().err
-    other = load_config(config)
-    if variant == "seed":
-        other.seed = 123
-    bound, other = _hash(load_config(TINY)), _hash(other)
+    bound, other = _hash(load_config(TINY)), _hash(load_config(config))
     assert bound != other and bound in err and other in err and "--run-dir" in err
     assert err.startswith("error: run directory ") and "invalid config:" not in err
     assert contents(finished_dir) == before
@@ -412,7 +497,8 @@ def test_used_directory_without_run_json_is_refused(tmp_path, capsys, command):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     (run_dir / "results.jsonl").write_text("{}\n")
-    assert run(command, "--config", TINY, "--run-dir", str(run_dir), "--force") == 1
+    assert run(command, "--config", TINY, "--run-dir", str(run_dir),
+               *_taken(command, "--force")) == 1
     assert "no run.json" in capsys.readouterr().err
     assert [p.name for p in run_dir.iterdir()] == ["results.jsonl"]
 
@@ -593,12 +679,13 @@ def test_plan_file_holds_the_trained_batches(tmp_path, monkeypatch):
             return trained[-1]
         monkeypatch.setattr(contrastive, name, recording)
     run_dir = str(tmp_path / "run")
-    stages = {"guided": ("train-dae", "cluster", "plan", "train-contrastive"),
-              "random": ("plan", "train-contrastive")}
-    for mode, commands in stages.items():
+    stages = {"guided": (("train-dae",), ("cluster",), ("plan", "--mode", "guided"),
+                         ("train-contrastive", "--mode", "guided")),
+              "random": (("plan", "--mode", "random"), ("train-contrastive", "--mode", "random"))}
+    for mode, argvs in stages.items():
         trained.clear()
-        for command in commands:
-            assert run(command, "--config", TINY, "--run-dir", run_dir, "--mode", mode) == 0
+        for argv in argvs:
+            assert run(*argv, "--config", TINY, "--run-dir", run_dir) == 0
         lines = (tmp_path / "run" / f"plan_{mode}.jsonl").read_text().splitlines()
         on_disk = [(r["epoch"], r["batch_index"], r["indices"]) for r in map(json.loads, lines)]
         assert len(trained) == 2  # tiny.ini trains 2 epochs

@@ -139,6 +139,22 @@ def test_empty_tap_points_reported(tmp_path):
     assert excinfo.value.errors == ["eval.tap_points: need at least one of P1/P2/P3"]
 
 
+@pytest.mark.parametrize("text, error", [
+    ("[contrastive]\nhead_widths = 16, 0, 8", "contrastive.head_widths: widths must be >= 1, got 0"),
+    ("[contrastive]\nhead_widths = 16, -4, 8",
+     "contrastive.head_widths: widths must be >= 1, got -4"),
+    ("[dataset]\nnoise_sigma = -0.1", "dataset.noise_sigma: must be >= 0, got -0.1"),
+], ids=["zero-width", "negative-width", "negative-noise"])
+def test_a_value_that_fails_mid_run_is_refused_at_load(tmp_path, text, error):
+    # each failed only at its first use: in train-contrastive, or at the
+    # first dataset read
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text + "\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(bad)
+    assert excinfo.value.errors == [error]
+
+
 def test_dataset_may_be_clustered_whole():
     # k and subset_size may each equal the image count they are checked against
     config = load_config(CONFIGS / "tiny.ini")

@@ -73,13 +73,15 @@ def stop_at(monkeypatch, command, point):
 @pytest.mark.parametrize("stage,mode", [("train-contrastive", "random"),
                                         ("train-dae", "guided")])
 def test_forced_run_stopped_anywhere_reruns_clean(tmp_path, monkeypatch, stage, mode):
+    # train-dae takes no --mode: its outputs serve both modes
+    argv = (stage, "--force") + (("--mode", mode) if stage != "train-dae" else ())
     clean = tmp_path / "clean"
     pipeline(TINY, clean, [mode])
     want = contents(clean)
 
     def forced(run_dir):
         shutil.copytree(clean, run_dir)
-        return lambda: run(TINY, run_dir, stage, "--mode", mode, "--force")
+        return lambda: run(TINY, run_dir, *argv)
 
     names = renames_through(monkeypatch, forced(tmp_path / "through"))
     for point in range(len(names)):
