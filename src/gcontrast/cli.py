@@ -37,18 +37,22 @@ REFUSALS = (ConfigError, RunDirectoryError, MissingArtifactError)
 RUNTIME_ERRORS = (TrainingDivergedError, DataFormatError, ValueError, OSError)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
+def parse_args(argv=None):
+    """The command line's `command`, `config`, `run_dir` and flags. The
+    command's own parser reads what follows its name, so a flag it does not
+    take is reported under its usage line, `usage: gcontrast COMMAND ...`."""
+    top = argparse.ArgumentParser(
         prog="gcontrast",
         description="Pseudo-label-guided batch construction for contrastive training")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in COMMANDS.items():
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="INI config file")
-        cmd.add_argument("--run-dir", required=True, help="artifact directory")
-        for flag in flags:
-            cmd.add_argument(flag, **FLAGS[flag])
-    return parser
+    top.add_argument("command", choices=STAGE_COMMANDS, help="the stage to run")
+    top.add_argument("flags", nargs=argparse.REMAINDER, help="see `gcontrast COMMAND -h`")
+    args = top.parse_args(argv)
+    parser = argparse.ArgumentParser(prog=f"gcontrast {args.command}")
+    parser.add_argument("--config", required=True, help="INI config file")
+    parser.add_argument("--run-dir", required=True, help="artifact directory")
+    for flag in COMMANDS[args.command][1]:
+        parser.add_argument(flag, **FLAGS[flag])
+    return parser.parse_args(args.flags, argparse.Namespace(command=args.command))
 
 
 def exit_status(action):
@@ -66,7 +70,7 @@ def exit_status(action):
 
 
 def main(argv=None):
-    flags = vars(build_parser().parse_args(argv))
+    flags = vars(parse_args(argv))
     stage = COMMANDS[flags.pop("command")][0]
     config, run_dir = flags.pop("config"), flags.pop("run_dir")
     return exit_status(lambda: stage(Workspace(load_config(config), run_dir), **flags))

@@ -56,14 +56,11 @@ class DaeSection:
     patience: int = 5
     val_fraction: float = 0.1
     batch_size: int = 64
-    adam_lr: float = 1e-3
 
 
 @dataclass
 class ClusterSection:
     k: int = 64
-    tol: float = 1e-4
-    max_iter: int = 300
 
 
 @dataclass
@@ -75,14 +72,12 @@ class SchedulerSection:
 class ContrastiveSection:
     temperature: float = 0.1
     epochs: int = 15
-    base_lr: float = 0.05
     encoder_blocks: tuple = ((32, 3, 2), (64, 3, 2), (128, 3, 2), (256, 3, 2))
     head_widths: tuple = (256, 128, 64)
 
 
 @dataclass
 class EvalSection:
-    tap_points: tuple = ("P1", "P2", "P3")
     finetune_fraction: float = 0.10
     val_fraction: float = 0.2
     probe_epochs: int = 50
@@ -119,7 +114,7 @@ def _set_fields(target, names, parser_section, section_name, errors):
             elif isinstance(current, tuple) and name.endswith("blocks"):
                 value = _parse_blocks(raw)
             elif isinstance(current, tuple):
-                value = tuple(type(current[0])(v.strip()) for v in raw.split(",") if v.strip())
+                value = tuple(int(v) for v in raw.split(",") if v.strip())
             elif isinstance(current, int):
                 value = int(raw)
             elif isinstance(current, float):
@@ -228,7 +223,6 @@ def validate(config: RunConfig):
     check(a.patience >= 1, f"dae.patience: must be >= 1, got {a.patience}")
     check(0 < a.val_fraction < 1, f"dae.val_fraction: must be in (0,1), got {a.val_fraction}")
     check(a.batch_size >= 1, f"dae.batch_size: must be >= 1, got {a.batch_size}")
-    check(a.adam_lr > 0, f"dae.adam_lr: must be > 0, got {a.adam_lr}")
     block_errors = _blocks_errors("dae.encoder_blocks", a.encoder_blocks)
     errors.extend(block_errors)
     if not block_errors:
@@ -239,8 +233,6 @@ def validate(config: RunConfig):
 
     c = config.cluster
     check(c.k >= 1, f"cluster.k: must be >= 1, got {c.k}")
-    check(c.tol > 0, f"cluster.tol: must be > 0, got {c.tol}")
-    check(c.max_iter >= 1, f"cluster.max_iter: must be >= 1, got {c.max_iter}")
 
     s = config.scheduler
     check(s.p >= 2, f"scheduler.p: must be >= 2, got {s.p}")
@@ -248,18 +240,12 @@ def validate(config: RunConfig):
     t = config.contrastive
     check(t.temperature > 0, f"contrastive.temperature: must be > 0, got {t.temperature}")
     check(t.epochs >= 1, f"contrastive.epochs: must be >= 1, got {t.epochs}")
-    check(t.base_lr > 0, f"contrastive.base_lr: must be > 0, got {t.base_lr}")
     check(len(t.head_widths) == 3, f"contrastive.head_widths: need exactly 3, got {len(t.head_widths)}")
     check(min(t.head_widths, default=1) >= 1, "contrastive.head_widths: widths must be >= 1, got "
           + ", ".join(str(w) for w in t.head_widths if w < 1))
     errors.extend(_blocks_errors("contrastive.encoder_blocks", t.encoder_blocks))
 
     e = config.eval
-    check(e.tap_points, "eval.tap_points: need at least one of P1/P2/P3")
-    check(all(p in ("P1", "P2", "P3") for p in e.tap_points),
-          f"eval.tap_points: entries must be P1/P2/P3, got {e.tap_points}")
-    check(len(set(e.tap_points)) == len(e.tap_points),
-          f"eval.tap_points: an entry is repeated, got {e.tap_points}")
     check(0 < e.finetune_fraction <= 1, f"eval.finetune_fraction: must be in (0,1], got {e.finetune_fraction}")
     check(0 < e.val_fraction < 1, f"eval.val_fraction: must be in (0,1), got {e.val_fraction}")
     check(e.probe_epochs >= 1, f"eval.probe_epochs: must be >= 1, got {e.probe_epochs}")

@@ -42,6 +42,7 @@ class EvalReport:
 
 # head layers each tap point keeps
 _HEAD_DEPTH = {"P1": 2, "P2": 1, "P3": 0}
+TAP_POINTS = tuple(_HEAD_DEPTH)  # the protocol probes every tap point, in this order
 TAP_CHUNK = 256  # images per backbone pass of a tap extractor
 
 

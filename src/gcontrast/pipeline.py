@@ -43,6 +43,7 @@ from .dae import AutoencoderSpec, build_autoencoder, extract_latents, train_dae
 from .data import load_cifar10, make_synthetic, subset, subset_class_sizes, train_val_split
 from .evaluate import (
     FULL_SCALE_REFERENCE,
+    TAP_POINTS,
     fine_tune_10pct,
     linear_probe,
     supervised_reference,
@@ -75,7 +76,7 @@ class Workspace:
     it writes anything, so every artifact that exists is current. A
     directory holding only `run.json` (its first command failed before
     writing an output) is bound anew. `.tmp` files, which a killed write
-    leaves, are not outputs.
+    leaves, are not outputs; once the config is bound they are removed.
     """
 
     def __init__(self, config: RunConfig, run_dir):
@@ -87,6 +88,9 @@ class Workspace:
                        else {})
         os.makedirs(self.run_dir, exist_ok=True)
         self._bind("config", config_fingerprint(config.to_dict()))
+        for name in entries:
+            if name.endswith(".tmp") and os.path.isfile(self.path(name)):
+                os.remove(self.path(name))
         self._dataset = None
 
     def path(self, name):
@@ -206,8 +210,7 @@ def stage_train_dae(ws: Workspace, force=False):
                                max_epochs=cfg.dae.epochs, patience=cfg.dae.patience,
                                val_fraction=cfg.dae.val_fraction,
                                batch_size=cfg.dae.batch_size,
-                               seed=derive_seed(cfg.seed, "dae-train"),
-                               adam_lr=cfg.dae.adam_lr)
+                               seed=derive_seed(cfg.seed, "dae-train"))
     manifest = {"kind": "autoencoder", "encoder_blocks": [list(b) for b in cfg.dae.encoder_blocks],
                 "image_size": cfg.dataset.image_size, "channels": cfg.dataset.channels,
                 "latent_shape": list(spec.latent_shape()), "seed": init_seed,
@@ -227,8 +230,7 @@ def stage_cluster(ws: Workspace, force=False):
     latents = read_latents_csv(_upstream(ws, "train-dae")[-1])
     labels_csv, checkpoint, _ = _outputs(ws, "cluster")
     cfg = ws.config
-    model = kmeans_fit(latents, k=cfg.cluster.k, seed=derive_seed(cfg.seed, "cluster"),
-                       max_iter=cfg.cluster.max_iter, tol=cfg.cluster.tol)
+    model = kmeans_fit(latents, k=cfg.cluster.k, seed=derive_seed(cfg.seed, "cluster"))
     assignment = assign(model, latents)
     write_csv(labels_csv, ["image_index", "cluster_label"], pseudo_label_table(assignment))
     save_checkpoint(checkpoint.removesuffix(".json"),
@@ -251,8 +253,7 @@ def _contrastive(ws):
     """The ContrastiveConfig, EncoderSpec and ProjectionHeadSpec of the bound config."""
     cfg = ws.config
     return (ContrastiveConfig(temperature=cfg.contrastive.temperature, batch_size=cfg.scheduler.p,
-                              epochs=cfg.contrastive.epochs, base_lr=cfg.contrastive.base_lr,
-                              seed=derive_seed(cfg.seed, "contrastive")),
+                              epochs=cfg.contrastive.epochs, seed=derive_seed(cfg.seed, "contrastive")),
             EncoderSpec(blocks=cfg.contrastive.encoder_blocks, channels=cfg.dataset.channels),
             ProjectionHeadSpec(widths=cfg.contrastive.head_widths))
 
@@ -344,7 +345,7 @@ def stage_probe(ws: Workspace, mode, force=False):
     method = _method_tag(mode)
     held = _recorded(ws)
     recorded = set() if force else held  # --force redoes every eval it runs
-    to_run = [p for p in cfg.eval.tap_points if (method, p) not in recorded]
+    to_run = [p for p in TAP_POINTS if (method, p) not in recorded]
     # the reference does not depend on the mode: --force redoes it under guided only
     run_supervised = cfg.eval.supervised_reference and (
         ("supervised-reference", "supervised") not in held or force and mode == "guided")

@@ -122,7 +122,7 @@ def test_cifar10_source_with_wrong_image_shape_exits_1_before_any_work(tmp_path,
      "dae.encoder_blocks: filters, kernel and stride must be >= 1, got 32:3:0"),
     ("[dae]\nencoder_blocks = 8:3:2, 16:3:2", "[dae]\nencoder_blocks = 8:3:3",
      "dae.encoder_blocks: encoder layer 0 (filters=8): spatial size 8 not divisible by stride 3"),
-    ("base_lr = 0.05\nencoder_blocks = 8:3:2", "base_lr = 0.05\nencoder_blocks = 8:0:2",
+    ("epochs = 2\nencoder_blocks = 8:3:2", "epochs = 2\nencoder_blocks = 8:0:2",
      "contrastive.encoder_blocks: filters, kernel and stride must be >= 1, got 8:0:2"),
     ("k = 8", "k = 5000", "cluster.k: 5000 exceeds the 128 images it clusters"),
     ("channels = 3\n", "channels = 3\nsubset_size = 99999\n",
@@ -192,13 +192,15 @@ def test_a_diverged_first_command_leaves_the_directory_to_the_corrected_config(t
     # the failed command read the dataset, so its run.json bound the dataset
     # hash too; still nothing but run.json is left, and that is rebound
     run_dir = tmp_path / "r"
-    diverging = _tiny_with(tmp_path, "batch_size = 16\n", "batch_size = 16\nadam_lr = 1e30\n")
+    diverging = _tiny_with(tmp_path, "sigma = 0.01", "sigma = 1e30")
     assert run("train-dae", "--config", diverging, "--run-dir", str(run_dir)) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("runtime failure: training diverged at epoch 1, batch 1")
+    # noise of sigma 1e30 overflows float32 in the first batch
+    assert line.startswith("runtime failure: training diverged at epoch 1, batch 0: mul:")
     assert [p.name for p in run_dir.iterdir()] == ["run.json"]
     assert run("train-dae", "--config", TINY, "--run-dir", str(run_dir)) == 0
-    assert json.loads((run_dir / "run.json").read_text())["config_hash"] == "484eb283e14c887f"
+    assert json.loads((run_dir / "run.json").read_text())["config_hash"] == _hash(
+        load_config(TINY))
 
 
 @pytest.mark.parametrize("left", [("run.json", "dae_checkpoint.bin.tmp"), ("run.json.tmp",)],
@@ -217,6 +219,20 @@ def test_a_killed_first_write_leaves_the_directory_to_the_corrected_config(tmp_p
     assert run("train-dae", "--config", fixed, "--run-dir", str(run_dir)) == 0
     assert run("train-dae", "--config", fixed, "--run-dir", str(clean)) == 0
     assert contents(run_dir) == contents(clean)
+
+
+def test_opening_a_run_directory_removes_tmp_leftovers(finished_dir, tmp_path):
+    # a killed latents.bin write at cifar10 scale leaves tens of MB behind;
+    # a command refused under another config leaves the directory untouched
+    run_dir = tmp_path / "r"
+    shutil.copytree(finished_dir, run_dir)
+    before = contents(run_dir)
+    (run_dir / "latents.bin.tmp").write_bytes(bytes(1000))
+    other = _tiny_with(tmp_path, "seed = 0", "seed = 5")
+    assert run("pipeline", "--config", other, "--run-dir", str(run_dir)) == 1
+    assert (run_dir / "latents.bin.tmp").stat().st_size == 1000
+    assert run("pipeline", "--config", TINY, "--run-dir", str(run_dir), "--mode", "guided") == 0
+    assert contents(run_dir) == before
 
 
 @pytest.mark.parametrize("change, key", [
@@ -282,8 +298,7 @@ def test_each_command_takes_exactly_the_flags_of_its_table_row(finished_dir, tmp
     # each flag reaches the stage as the keyword argument of its name
     assert list(inspect.signature(stage).parameters)[1:] == names
     for flag in flags:
-        args = cli.build_parser().parse_args([command, "--config", TINY, "--run-dir", "r",
-                                              *FLAG_ARGV[flag]])
+        args = cli.parse_args([command, "--config", TINY, "--run-dir", "r", *FLAG_ARGV[flag]])
         assert set(vars(args)) == {"command", "config", "run_dir", *names}
     before = contents(finished_dir)
     for flag in sorted(set(FLAG_ARGV) - set(flags)):
@@ -293,7 +308,8 @@ def test_each_command_takes_exactly_the_flags_of_its_table_row(finished_dir, tmp
                 run(command, "--config", TINY, "--run-dir", str(run_dir), *FLAG_ARGV[flag])
             assert excinfo.value.code == 2
             err = capsys.readouterr().err
-            assert err.startswith("usage: gcontrast"), (flag, err)
+            # the usage line is the command's own, not the top-level one
+            assert err.startswith(f"usage: gcontrast {command} [-h]"), (flag, err)
             assert f"unrecognized arguments: {' '.join(FLAG_ARGV[flag])}" in err, (flag, err)
     assert contents(finished_dir) == before
     assert not (tmp_path / "new").exists()

@@ -123,22 +123,6 @@ def test_cifar_source_requires_cifar_image_shape(tmp_path, size, channels, wrong
     assert [e.split(":")[0] for e in excinfo.value.errors] == [wrong]
 
 
-def test_repeated_tap_point_reported(tmp_path):
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[eval]\ntap_points = P1, P1\n")
-    with pytest.raises(ConfigError, match="eval.tap_points: an entry is repeated"):
-        load_config(bad)
-
-
-def test_empty_tap_points_reported(tmp_path):
-    # no tap point would leave `probe` nothing to run and nothing to record
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[eval]\ntap_points =\n")
-    with pytest.raises(ConfigError) as excinfo:
-        load_config(bad)
-    assert excinfo.value.errors == ["eval.tap_points: need at least one of P1/P2/P3"]
-
-
 @pytest.mark.parametrize("text, error", [
     ("[contrastive]\nhead_widths = 16, 0, 8", "contrastive.head_widths: widths must be >= 1, got 0"),
     ("[contrastive]\nhead_widths = 16, -4, 8",
@@ -180,6 +164,21 @@ def test_removed_mode_key_is_unknown(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[scheduler]\nmode = guided\n")
     with pytest.raises(ConfigError, match=r"^invalid config:\n  scheduler\.mode: unknown key$"):
+        load_config(bad)
+
+
+# the constants these keys held: Adam's stock rate, k-means convergence, the
+# contrastive base rate, and the tap points the protocol always probes
+REMOVED_KEYS = {"dae.adam_lr": "1e-3", "cluster.tol": "1e-4", "cluster.max_iter": "300",
+                "contrastive.base_lr": "0.05", "eval.tap_points": "P1, P2, P3"}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_constant_key_is_unknown(tmp_path, key):
+    section, name = key.split(".")
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[{section}]\n{name} = {REMOVED_KEYS[key]}\n")
+    with pytest.raises(ConfigError, match=rf"^invalid config:\n  {section}\.{name}: unknown key$"):
         load_config(bad)
 
 
