@@ -11,6 +11,8 @@ import numpy as np
 
 from .seeds import derive_seed
 
+MAX_ITER, TOL = 300, 1e-4  # Lloyd iterations stop at MAX_ITER or once no centroid moves TOL
+
 
 @dataclass
 class ClusterModel:
@@ -55,7 +57,7 @@ def _plusplus_init(Y, y_sq, k, rng):
     return centroids
 
 
-def kmeans_fit(Y, k=64, seed=0, max_iter=300, tol=1e-4) -> ClusterModel:
+def kmeans_fit(Y, k=64, seed=0) -> ClusterModel:
     """Lloyd's algorithm, deterministic per seed. The Lloyd iterations keep every
     cluster nonempty, but `assign` can still leave one empty when centroids coincide."""
     Y = np.asarray(Y, dtype=np.float64)
@@ -66,8 +68,7 @@ def kmeans_fit(Y, k=64, seed=0, max_iter=300, tol=1e-4) -> ClusterModel:
     y_sq = (Y * Y).sum(axis=1)
     centroids = _plusplus_init(Y, y_sq, k, rng)
     inertia_history = []
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         dists = _sq_distances(Y, y_sq, centroids)
         labels = dists.argmin(axis=1)
         point_d = dists[np.arange(n), labels]
@@ -85,7 +86,7 @@ def kmeans_fit(Y, k=64, seed=0, max_iter=300, tol=1e-4) -> ClusterModel:
             new_centroids[cluster] = Y[labels == cluster].mean(axis=0)
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
-        if shift < tol:
+        if shift < TOL:
             break
     final = _sq_distances(Y, y_sq, centroids)
     final_labels = final.argmin(axis=1)

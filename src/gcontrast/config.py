@@ -99,8 +99,8 @@ class RunConfig:
         return asdict(self)
 
 
-def _set_fields(target, names, parser_section, section_name, errors):
-    for name, raw in parser_section.items():
+def _set_fields(target, names, values, section_name, errors):
+    for name, raw in values.items():
         if name not in names:
             errors.append(f"{section_name}.{name}: unknown key")
             continue
@@ -126,9 +126,26 @@ def _set_fields(target, names, parser_section, section_name, errors):
             errors.append(f"{section_name}.{name}: {err}")
 
 
+def _malformed(path, err):
+    """Why the INI file at `path` cannot be parsed, by line where configparser names one."""
+    if isinstance(err, UnicodeDecodeError):
+        return [f"{path}: byte {err.start} is not UTF-8 ({err.reason})"]
+    if isinstance(err, configparser.MissingSectionHeaderError):
+        return [f"{path}, line {err.lineno}: a key before any [section]"]
+    if isinstance(err, configparser.ParsingError):
+        return [f"{path}, line {n}: {line} is not `key = value`" for n, line in err.errors]
+    # a repeated section or key: the message after its `[line  n]: ` location
+    return [f"{path}, line {err.lineno}: {err.message.split(']: ')[-1]}"]
+
+
 def load_config(path) -> "RunConfig":
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    # values are read as written: `%` has no special meaning
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigError(_malformed(path, err)) from None
     if not read:
         raise ConfigError([f"config file {path} not found or unreadable"])
     config = RunConfig()
@@ -137,11 +154,11 @@ def load_config(path) -> "RunConfig":
     known = {name: (section, vars(section)) for name, section in vars(config).items()
              if name != "seed"}
     known["run"] = (config, ("seed",))
-    for section_name in parser.sections():
+    for section_name, values in sections.items():
         if section_name not in known:
             errors.append(f"unknown section [{section_name}]")
             continue
-        _set_fields(*known[section_name], parser[section_name], section_name, errors)
+        _set_fields(*known[section_name], values, section_name, errors)
     errors.extend(validate(config))
     if errors:
         raise ConfigError(errors)

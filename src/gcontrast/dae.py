@@ -10,14 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ImageDataset, add_gaussian_noise
+from .data import CHUNK, ImageDataset, add_gaussian_noise
 from .layers import ConvTranspose2D, Sequential, conv_stack
 from .optim import AdamState, adam_step, fit_early_stopping
 from .optim import early_stopping_scan  # noqa: F401  (re-exported: acceptance criterion 6 imports it from here)
 from .seeds import derive_seed
 from .tensor import Tensor, gradients, mse, no_grad
-
-CHUNK = 256  # images per no-grad forward pass in validation and latent extraction
 
 
 @dataclass(frozen=True)
@@ -75,26 +73,23 @@ def build_autoencoder(spec: AutoencoderSpec, seed) -> Autoencoder:
 
 def reconstruction_loss(model, clean, corrupted):
     """Mean squared error of model(corrupted) against clean, no gradients."""
-    total, count = 0.0, 0
+    total = 0.0
     with no_grad():
         for start in range(0, len(clean), CHUNK):
             x = clean[start:start + CHUNK]
             xn = corrupted[start:start + CHUNK]
             loss = mse(model(Tensor(xn)), Tensor(x))
             total += loss.item() * len(x)
-            count += len(x)
-    return total / count
+    return total / len(clean)
 
 
 def train_dae(model: Autoencoder, dataset: ImageDataset, sigma=0.01, max_epochs=100,
-              patience=5, val_fraction=0.1, batch_size=64, seed=0, adam_lr=1e-3):
+              patience=5, val_fraction=0.1, batch_size=64, seed=0):
     """Train with corrupted inputs against clean targets; restore best weights.
 
     The validation corruption is drawn once so the validation curve
     reflects only model movement. Labels are never read here.
     """
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0,1), got {val_fraction}")
     n = len(dataset)
@@ -107,7 +102,7 @@ def train_dae(model: Autoencoder, dataset: ImageDataset, sigma=0.01, max_epochs=
     val_corrupted = add_gaussian_noise(val_clean, sigma, derive_seed(seed, "dae-val-noise"))
 
     params = model.params()
-    state = AdamState.init(params, lr=adam_lr)
+    state = AdamState.init(params)
 
     def step(epoch, bi, batch):
         x = dataset.images[batch]

@@ -21,6 +21,8 @@ FLIP_PROB = 0.5
 BRIGHTNESS_DELTA = 0.2
 CONTRAST_RANGE = (0.8, 1.2)
 
+CHUNK = 256  # images per no-grad forward pass: DAE validation, latents and tap features
+
 
 class DataFormatError(ValueError):
     """Binary file does not follow the canonical record layout."""
@@ -202,23 +204,27 @@ def subset_class_sizes(size, num_classes):
     return [base + (1 if i < rem else 0) for i in range(num_classes)]
 
 
+def draw_per_class(labels, counts, seed):
+    """Sorted indices of `counts[i]` members of the i-th class in np.unique
+    order, each class drawn by one permutation of one default_rng(seed)."""
+    labels, rng = np.asarray(labels), np.random.default_rng(seed)
+    members = [np.flatnonzero(labels == cls) for cls in np.unique(labels)]
+    return np.sort(np.concatenate([m[rng.permutation(len(m))[:count]]
+                                   for m, count in zip(members, counts)]))
+
+
 def stratified_indices(labels, fraction, seed):
     """Per-class deterministic draw of round(fraction * class size) indices.
 
     Raises if any class would end up empty: a stratified subset that
     drops a class entirely is never what the caller wants.
     """
-    labels = np.asarray(labels)
-    chosen = []
-    rng = np.random.default_rng(seed)
-    for cls in np.unique(labels):
-        members = np.flatnonzero(labels == cls)
-        count = stratified_count(fraction, len(members))
+    classes, sizes = np.unique(labels, return_counts=True)
+    counts = [stratified_count(fraction, size) for size in sizes]
+    for cls, count in zip(classes, counts):
         if count < 1:
             raise ValueError(f"fraction {fraction} leaves class {cls} with zero examples")
-        perm = rng.permutation(len(members))
-        chosen.append(members[perm[:count]])
-    return np.sort(np.concatenate(chosen))
+    return draw_per_class(labels, counts, seed)
 
 
 def train_val_split(dataset: ImageDataset, val_fraction, seed):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ImageDataset, stratified_indices
+from .data import CHUNK, ImageDataset, stratified_indices
 from .layers import Dense
 from .optim import AdamState, adam_step, fit_early_stopping
 from .seeds import derive_seed
@@ -43,7 +43,6 @@ class EvalReport:
 # head layers each tap point keeps
 _HEAD_DEPTH = {"P1": 2, "P2": 1, "P3": 0}
 TAP_POINTS = tuple(_HEAD_DEPTH)  # the protocol probes every tap point, in this order
-TAP_CHUNK = 256  # images per backbone pass of a tap extractor
 
 
 def tap(encoder, head, points):
@@ -58,8 +57,8 @@ def tap(encoder, head, points):
     def extract(images):
         rows = [[] for _ in depths]
         with no_grad():
-            for start in range(0, len(images), TAP_CHUNK):
-                feats = [encoder(Tensor(images[start:start + TAP_CHUNK]))]
+            for start in range(0, len(images), CHUNK):
+                feats = [encoder(Tensor(images[start:start + CHUNK]))]
                 for layer in head_layers:
                     feats.append(layer(feats[-1]))
                 for out, depth in zip(rows, depths):
@@ -81,7 +80,7 @@ def _check_labels(labels, num_classes):
 
 def fit_softmax_classifier(forward, params, train_inputs, train_labels,
                            val_inputs, val_labels, epochs=50, patience=5,
-                           batch_size=128, seed=0, lr=1e-3):
+                           batch_size=128, seed=0):
     """Adam + cross-entropy with early stopping on validation loss.
 
     `forward` maps an input batch (numpy) to logits (Tensor); `params`
@@ -89,7 +88,7 @@ def fit_softmax_classifier(forward, params, train_inputs, train_labels,
     weights and returns the validation accuracy there; a non-finite step
     raises TrainingDivergedError.
     """
-    state = AdamState.init(params, lr=lr)
+    state = AdamState.init(params)
 
     def step(epoch, bi, batch):
         loss = softmax_cross_entropy(forward(train_inputs[batch]), train_labels[batch])

@@ -12,17 +12,6 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def _fan_limit(fan_in, fan_out, activation):
-    if activation == "relu":
-        return np.sqrt(6.0 / fan_in)
-    return np.sqrt(6.0 / (fan_in + fan_out))
-
-
-def _init(rng, shape, fan_in, fan_out, activation):
-    limit = _fan_limit(fan_in, fan_out, activation)
-    return Tensor(rng.uniform(-limit, limit, size=shape).astype(np.float32), requires_grad=True)
-
-
 class Layer:
     def params(self):
         return []
@@ -31,34 +20,37 @@ class Layer:
         raise NotImplementedError
 
 
-class Conv2D(Layer):
-    def __init__(self, rng, in_channels, filters, kernel=3, stride=1, activation="relu"):
-        fan_in = kernel * kernel * in_channels
-        fan_out = kernel * kernel * filters
-        self.w = _init(rng, (kernel, kernel, in_channels, filters), fan_in, fan_out, activation)
-        self.b = Tensor(np.zeros(filters, dtype=np.float32), requires_grad=True)
-        self.stride = stride
+class _Weighted(Layer):
+    """A kernel of `shape` mapping `window` positions of `inputs` channels
+    to `units`, a zero bias over the units, and the activation."""
+
+    def __init__(self, rng, shape, inputs, units, activation, window=1):
+        fan_in, fan_out = window * inputs, window * units
+        limit = np.sqrt(6.0 / (fan_in if activation == "relu" else fan_in + fan_out))
+        self.w = Tensor(rng.uniform(-limit, limit, size=shape).astype(np.float32), requires_grad=True)
+        self.b = Tensor(np.zeros(units, dtype=np.float32), requires_grad=True)
         self.activation = activation
 
     def params(self):
         return [self.w, self.b]
+
+
+class Conv2D(_Weighted):
+    def __init__(self, rng, in_channels, filters, kernel=3, stride=1, activation="relu"):
+        super().__init__(rng, (kernel, kernel, in_channels, filters), in_channels, filters,
+                         activation, window=kernel * kernel)
+        self.stride = stride
 
     def __call__(self, x):
         return T.conv2d(x, self.w, stride=self.stride, padding="same",
                         bias=self.b, relu=self.activation == "relu")
 
 
-class ConvTranspose2D(Layer):
+class ConvTranspose2D(_Weighted):
     def __init__(self, rng, in_channels, filters, kernel=3, stride=1, activation="relu"):
-        fan_in = kernel * kernel * in_channels
-        fan_out = kernel * kernel * filters
-        self.w = _init(rng, (kernel, kernel, filters, in_channels), fan_in, fan_out, activation)
-        self.b = Tensor(np.zeros(filters, dtype=np.float32), requires_grad=True)
+        super().__init__(rng, (kernel, kernel, filters, in_channels), in_channels, filters,
+                         activation, window=kernel * kernel)
         self.stride = stride
-        self.activation = activation
-
-    def params(self):
-        return [self.w, self.b]
 
     def __call__(self, x):
         return T.conv2d_transpose(x, self.w, stride=self.stride, bias=self.b,
@@ -77,14 +69,9 @@ def conv_stack(rng, channels, blocks, layer=Conv2D, last_activation="relu"):
     return stack
 
 
-class Dense(Layer):
+class Dense(_Weighted):
     def __init__(self, rng, in_dim, units, activation="linear"):
-        self.w = _init(rng, (in_dim, units), in_dim, units, activation)
-        self.b = Tensor(np.zeros(units, dtype=np.float32), requires_grad=True)
-        self.activation = activation
-
-    def params(self):
-        return [self.w, self.b]
+        super().__init__(rng, (in_dim, units), in_dim, units, activation)
 
     def __call__(self, x):
         out = x @ self.w + self.b

@@ -8,7 +8,7 @@ import numpy as np
 
 from .tensor import NonFiniteError, ShapeError
 
-BETA1, BETA2, EPS = 0.9, 0.999, 1e-7  # Adam's moment decays and denominator guard
+LR, BETA1, BETA2, EPS = 1e-3, 0.9, 0.999, 1e-7  # Adam's rate, moment decays and denominator guard
 
 
 class TrainingDivergedError(RuntimeError):
@@ -24,15 +24,13 @@ class TrainingDivergedError(RuntimeError):
 class AdamState:
     """Per-parameter moments plus the shared step counter."""
 
-    lr: float = 1e-3
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: list
+    v: list
     t: int = 0
 
     @classmethod
-    def init(cls, params, lr=1e-3):
-        return cls(lr=lr, m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params])
+    def init(cls, params):
+        return cls([np.zeros_like(p.data) for p in params], [np.zeros_like(p.data) for p in params])
 
 
 def adam_step(params, grads, state: AdamState):
@@ -46,7 +44,7 @@ def adam_step(params, grads, state: AdamState):
         state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * (g * g)
         m_hat = state.m[i] / b1t
         v_hat = state.v[i] / b2t
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        p.data = p.data - LR * m_hat / (np.sqrt(v_hat) + EPS)
     return params
 
 

@@ -40,7 +40,8 @@ from .contrastive import (
     train_contrastive,
 )
 from .dae import AutoencoderSpec, build_autoencoder, extract_latents, train_dae
-from .data import load_cifar10, make_synthetic, subset, subset_class_sizes, train_val_split
+from .data import (draw_per_class, load_cifar10, make_synthetic, subset, subset_class_sizes,
+                   train_val_split)
 from .evaluate import (
     FULL_SCALE_REFERENCE,
     TAP_POINTS,
@@ -142,17 +143,12 @@ def resolve_dataset(config: RunConfig):
 
 def _exact_stratified_subset(labels, size, seed):
     """Exactly `size` indices, spread as evenly as possible over classes."""
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    rng = np.random.default_rng(seed)
-    chosen = []
-    for cls, want in zip(classes, subset_class_sizes(size, len(classes))):
-        members = np.flatnonzero(labels == cls)
-        if want > len(members):
-            raise ValueError(f"class {cls} has only {len(members)} members, need {want}")
-        perm = rng.permutation(len(members))
-        chosen.append(members[perm[:want]])
-    return np.sort(np.concatenate(chosen))
+    classes, sizes = np.unique(labels, return_counts=True)
+    wants = subset_class_sizes(size, len(classes))
+    for cls, have, want in zip(classes, sizes, wants):
+        if want > have:
+            raise ValueError(f"class {cls} has only {have} members, need {want}")
+    return draw_per_class(labels, wants, seed)
 
 
 class MissingArtifactError(FileNotFoundError):

@@ -218,3 +218,16 @@ def image_checksum(arr):
     arr = np.asarray(arr, dtype=np.float64)
     weights = np.arange(1, arr.size + 1, dtype=np.float64)
     return float((arr.reshape(-1) * weights).sum())
+
+
+# INI files configparser cannot parse, each with the error load_config
+# reports after the file's path
+MALFORMED_CONFIGS = {
+    "repeated-key": (b"[cluster]\nk = 8\nk = 9\n",
+                     ", line 3: option 'k' in section 'cluster' already exists"),
+    "key-before-section": (b"k = 8\n[cluster]\n", ", line 1: a key before any [section]"),
+    "line-without-equals": (b"[cluster]\nk = 8\ngarbage\n",
+                            ", line 3: 'garbage\\n' is not `key = value`"),
+    "not-utf8": (b"[dataset]\npath = caf\xe9\n",
+                 ": byte 20 is not UTF-8 (invalid continuation byte)"),
+}

@@ -7,6 +7,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from gcontrast import artifacts, cli, contrastive, data, pipeline
 from gcontrast.artifacts import config_fingerprint
 from gcontrast.cli import STAGE_COMMANDS, main
 from gcontrast.config import load_config
+from helpers import MALFORMED_CONFIGS
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -107,6 +110,16 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     rc = run("train-dae", "--config", str(bad), "--run-dir", str(tmp_path / "r"))
     assert rc == 1
     assert "cluster.k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", MALFORMED_CONFIGS)
+def test_malformed_config_exits_1_before_any_work(tmp_path, capsys, name):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(MALFORMED_CONFIGS[name][0])
+    assert run("pipeline", "--config", str(bad), "--run-dir", str(tmp_path / "r")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config:\n") and str(bad) in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_cifar10_source_with_wrong_image_shape_exits_1_before_any_work(tmp_path, capsys):
@@ -591,16 +604,26 @@ def test_a_changed_dataset_is_refused_and_writes_nothing(tmp_path, capsys, cifar
     assert gcontrast("report") == 0
 
 
-def _comparison_script():
-    spec = importlib.util.spec_from_file_location(
-        "run_comparison", ROOT / "scripts" / "run_comparison.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
 
 
+def test_make_dataset_writes_the_synthetic_dataset_bit_for_bit(tmp_path, capsys):
+    argv = ["--classes", "3", "--per-class", "5", "--seed", "4", "--noise-sigma", "0.2"]
+    assert _script("make_dataset").main(["--out", str(tmp_path / "out"), *argv]) == 0
+    assert "wrote 15 records" in capsys.readouterr().out
+    got = data.load_cifar10(tmp_path / "out")
+    want = data.make_synthetic(classes=3, per_class=5, image_size=32, seed=4, noise_sigma=0.2)
+    assert got.images.tobytes() == want.images.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert (got.images.shape, got.labels.dtype) == (want.images.shape, want.labels.dtype)
+
+
 def test_run_comparison_refuses_a_reused_root_under_another_config(tmp_path, capsys):
-    script, root = _comparison_script(), tmp_path / "root"
+    script, root = _script("run_comparison"), tmp_path / "root"
     assert script.main(["--config", TINY, "--run-root", str(root), "--seeds", "0"]) == 0
     before = contents(root)
     changed = _tiny_with(tmp_path, "probe_epochs = 10", "probe_epochs = 3")
@@ -616,7 +639,7 @@ def test_run_comparison_refuses_a_reused_root_under_another_config(tmp_path, cap
 def test_run_comparison_refuses_a_bad_seed_list_with_usage(tmp_path, capsys, seeds):
     root = tmp_path / "root"
     with pytest.raises(SystemExit) as excinfo:
-        _comparison_script().main(["--config", TINY, "--run-root", str(root), "--seeds", seeds])
+        _script("run_comparison").main(["--config", TINY, "--run-root", str(root), "--seeds", seeds])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "error: argument --seeds: " in err
@@ -627,7 +650,7 @@ def test_run_comparison_reports_a_runtime_failure_as_the_cli_does(tmp_path, caps
     config = _cifar_tiny(tmp_path, "nowhere.ini", tmp_path / "nowhere")
     assert run("train-dae", "--config", config, "--run-dir", str(tmp_path / "r")) == 2
     cli_err = capsys.readouterr().err
-    script = _comparison_script()
+    script = _script("run_comparison")
     assert script.main(["--config", config, "--run-root", str(tmp_path / "root"),
                         "--seeds", "0"]) == 2
     captured = capsys.readouterr()
@@ -730,3 +753,23 @@ def test_two_pipeline_runs_byte_identical(tmp_path):
         a = (dirs[0] / name).read_bytes()
         b = (dirs[1] / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_blas_thread_count_leaves_every_artifact_unchanged(tmp_path):
+    # desk.ini's layer widths at 32x32 with p = k = 64, where the conv GEMMs
+    # are large enough for OpenBLAS to split them over threads
+    text = (CONFIGS / "desk.ini").read_text()
+    for old, new in (("per_class = 200", "per_class = 16"), ("epochs = 30", "epochs = 1"),
+                     ("epochs = 15", "epochs = 1"), ("probe_epochs = 50", "probe_epochs = 1")):
+        assert old in text
+        text = text.replace(old, new)
+    config = tmp_path / "small-desk.ini"
+    config.write_text(text)
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        for mode in ("guided", "random"):
+            subprocess.run([sys.executable, "-m", "gcontrast.cli", "pipeline", "--config",
+                            str(config), "--run-dir", str(tmp_path / threads), "--mode", mode],
+                           env=env, check=True, capture_output=True)
+    assert contents(tmp_path / "1") == contents(tmp_path / "2")

@@ -120,7 +120,7 @@ def test_reseeding_never_empties_the_cluster_it_takes_from(points, seed):
     # from a singleton cluster would average an empty slice
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model = kmeans_fit(points, k=3, seed=seed, max_iter=300)
+        model = kmeans_fit(points, k=3, seed=seed)
     assert np.isfinite(model.centroids).all()
     assert model.iterations_run < 300
 

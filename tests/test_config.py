@@ -11,6 +11,7 @@ from gcontrast.artifacts import config_fingerprint
 from gcontrast.config import ConfigError, RunConfig, dataset_size_errors, load_config, validate
 from gcontrast.data import stratified_indices, train_val_split
 from gcontrast.pipeline import resolve_dataset
+from helpers import MALFORMED_CONFIGS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -43,6 +44,22 @@ def test_load_desk_config_is_valid():
 def test_missing_file_raises():
     with pytest.raises(ConfigError, match="not found"):
         load_config(CONFIGS / "nope.ini")
+
+
+@pytest.mark.parametrize("name", MALFORMED_CONFIGS)
+def test_malformed_file_is_a_config_error_naming_file_and_line(tmp_path, name):
+    text, error = MALFORMED_CONFIGS[name]
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(text)
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(bad)
+    assert excinfo.value.errors == [f"{bad}{error}"]
+
+
+def test_percent_is_read_literally(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[dataset]\npath = batches%2\n")
+    assert load_config(path).dataset.path == "batches%2"
 
 
 def test_validation_lists_every_violation(tmp_path):

@@ -102,7 +102,7 @@ def test_overfit_tiny_dataset_with_overcomplete_spec():
     spec = AutoencoderSpec(encoder_layers=((32, 3, 1), (32, 3, 1)), image_size=8, channels=3)
     model = build_autoencoder(spec, seed=0)
     model, history = train_dae(model, ds, sigma=0.0, max_epochs=100, patience=100,
-                               val_fraction=0.25, batch_size=1, seed=0, adam_lr=5e-3)
+                               val_fraction=0.25, batch_size=1, seed=0)
     assert history.train_loss[-1] < 1e-3
 
 

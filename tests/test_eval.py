@@ -195,16 +195,23 @@ def test_eval_report_accuracy_range_validated():
 
 
 def test_classifier_divergence_names_epoch_and_batch():
-    # a huge step overflows the logits of the next batch; the error must
+    # the second batch's forward pass overflows its inputs; the error must
     # be the one the CLI reports as a runtime failure, not a bare
     # floating-point error, and no numpy warning may escape on the way
     rng = np.random.default_rng(0)
     x = rng.normal(size=(40, 5)).astype(np.float32)
     y = rng.integers(0, 3, size=40)
     clf = Dense(np.random.default_rng(1), 5, 3, activation="linear")
+    calls = []
+
+    def forward(xb):
+        calls.append(len(xb))
+        scale = np.finfo(np.float32).max if len(calls) == 2 else np.float32(1)
+        return clf(Tensor(xb * scale))
+
     with pytest.raises(TrainingDivergedError, match="epoch 1, batch 1") as excinfo:
-        fit_softmax_classifier(lambda xb: clf(Tensor(xb)), clf.params(), x[:32], y[:32],
-                               x[32:], y[32:], epochs=3, batch_size=8, lr=1e38)
+        fit_softmax_classifier(forward, clf.params(), x[:32], y[:32],
+                               x[32:], y[32:], epochs=3, batch_size=8)
     assert not isinstance(excinfo.value, FloatingPointError)
 
 

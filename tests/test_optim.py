@@ -37,7 +37,7 @@ def test_adam_single_step_matches_scalar_recurrence():
 def test_adam_two_identical_states_stay_identical():
     def run():
         p = Tensor(np.array([0.3, -0.7], dtype=np.float64), requires_grad=True)
-        state = AdamState.init([p], lr=0.01)
+        state = AdamState.init([p])
         for step in range(5):
             g = np.array([0.1 * (step + 1), -0.2])
             adam_step([p], [g], state)
