@@ -139,8 +139,10 @@ def _malformed(path, err):
 
 
 def load_config(path) -> "RunConfig":
-    # values are read as written: `%` has no special meaning
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    # values are read as written: `%` has no special meaning, and [DEFAULT]
+    # is a section like any other, so it is refused as unknown
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None,
+                                       default_section="")
     try:
         read = parser.read(path, encoding="utf-8")
         sections = {name: dict(parser[name]) for name in parser.sections()}

@@ -5,8 +5,6 @@ P1 keeps all head layers but the last, P2 keeps only the first, and P3
 reads the backbone feature vector directly.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import CHUNK, ImageDataset, stratified_indices
@@ -26,18 +24,6 @@ FULL_SCALE_REFERENCE = {
         "guided": {"P1": 38.15, "P2": 41.01, "P3": 40.5, "finetune": 43.1},
     },
 }
-
-
-@dataclass
-class EvalReport:
-    method: str          # guided | random-baseline | supervised-reference
-    eval_name: str       # P1 | P2 | P3 | finetune | supervised
-    accuracy: float      # validation accuracy, percent
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.accuracy <= 100.0:
-            raise ValueError(f"accuracy {self.accuracy} outside [0, 100]")
 
 
 # head layers each tap point keeps
@@ -70,12 +56,6 @@ def tap(encoder, head, points):
 
 def _accuracy_percent(logits, labels):
     return 100.0 * float((logits.argmax(axis=1) == labels).mean())
-
-
-def _check_labels(labels, num_classes):
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"labels outside [0, {num_classes})")
 
 
 def fit_softmax_classifier(forward, params, train_inputs, train_labels,
@@ -117,22 +97,22 @@ def fit_softmax_classifier(forward, params, train_inputs, train_labels,
 
 
 def linear_probe(features, train_ds: ImageDataset, val_ds: ImageDataset,
-                 epochs=50, patience=5, seed=0, method="guided",
-                 eval_name="P3") -> EvalReport:
-    """Single dense layer on frozen features: `features` is the (train,
-    val) pair of feature matrices, extracted beforehand, so the encoder
-    never trains.
+                 epochs=50, patience=5, seed=0, eval_name="P3") -> float:
+    """Validation accuracy, in percent, of a single dense layer on frozen
+    features: `features` is the (train, val) pair of feature matrices,
+    extracted beforehand, so the encoder never trains. `eval_name` tags
+    the layer's init.
     """
-    _check_labels(train_ds.labels, train_ds.num_classes)
-    _check_labels(val_ds.labels, train_ds.num_classes)
+    # each ImageDataset checks its labels against its own class count only
+    if val_ds.labels.max() >= train_ds.num_classes:
+        raise ValueError(f"labels outside [0, {train_ds.num_classes})")
     train_x, val_x = (f.astype(np.float32) for f in features)
     rng = np.random.default_rng(derive_seed(seed, "probe-init", eval_name))
     clf = Dense(rng, train_x.shape[1], train_ds.num_classes, activation="linear")
-    accuracy = fit_softmax_classifier(
+    return fit_softmax_classifier(
         lambda xb: clf(Tensor(xb)), clf.params(),
         train_x, train_ds.labels, val_x, val_ds.labels,
         epochs=epochs, patience=patience, seed=seed)
-    return EvalReport(method=method, eval_name=eval_name, accuracy=accuracy, seed=seed)
 
 
 def _train_end_to_end(encoder, feature_dim, train_ds, rows, val_ds, init_tag,
@@ -148,26 +128,22 @@ def _train_end_to_end(encoder, feature_dim, train_ds, rows, val_ds, init_tag,
 
 
 def fine_tune_10pct(encoder, feature_dim, train_ds: ImageDataset, val_ds: ImageDataset,
-                    fraction=0.10, epochs=50, patience=5, seed=0,
-                    method="guided") -> EvalReport:
-    """Encoder + fresh linear classifier trained end to end on a small
-    stratified labeled subset; no projection head layers are used.
+                    fraction=0.10, epochs=50, patience=5, seed=0) -> float:
+    """Validation accuracy of the encoder plus a fresh linear classifier
+    trained end to end on a small stratified labeled subset; no projection
+    head layers are used.
 
     The encoder object is trained in place; pass a dedicated copy.
     """
-    _check_labels(train_ds.labels, train_ds.num_classes)
     chosen = stratified_indices(train_ds.labels, fraction, derive_seed(seed, "finetune-subset"))
-    accuracy = _train_end_to_end(encoder, feature_dim, train_ds, chosen, val_ds,
-                                 "finetune-init", epochs, patience, seed)
-    return EvalReport(method=method, eval_name="finetune", accuracy=accuracy, seed=seed)
+    return _train_end_to_end(encoder, feature_dim, train_ds, chosen, val_ds,
+                             "finetune-init", epochs, patience, seed)
 
 
 def supervised_reference(encoder, feature_dim, train_ds: ImageDataset,
                          val_ds: ImageDataset, epochs=50, patience=5,
-                         seed=0) -> EvalReport:
-    """Ceiling reference: the same encoder trained fully supervised."""
-    _check_labels(train_ds.labels, train_ds.num_classes)
-    accuracy = _train_end_to_end(encoder, feature_dim, train_ds, slice(None), val_ds,
-                                 "supervised-init", epochs, patience, seed)
-    return EvalReport(method="supervised-reference", eval_name="supervised",
-                      accuracy=accuracy, seed=seed)
+                         seed=0) -> float:
+    """Ceiling reference: validation accuracy of the same encoder trained
+    fully supervised."""
+    return _train_end_to_end(encoder, feature_dim, train_ds, slice(None), val_ds,
+                             "supervised-init", epochs, patience, seed)

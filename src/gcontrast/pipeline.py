@@ -310,82 +310,88 @@ def _load_contrastive(ws, mode):
     return encoder, head, spec
 
 
-def _existing_reports(ws):
+# the supervised reference's (method, eval_name)
+SUPERVISED = ("supervised-reference", "supervised")
+
+
+def _results(ws):
+    """The (method, eval_name, accuracy, seed) records results.jsonl holds, in file order."""
     path = ws.path("results.jsonl")
-    if not os.path.exists(path):
-        return []
-    return read_jsonl(path)
+    return read_jsonl(path) if os.path.exists(path) else []
 
 
-def _recorded(ws):
-    """(method, eval_name) pairs results.jsonl holds."""
-    return {(r["method"], r["eval_name"]) for r in _existing_reports(ws)}
+def _evals(records):
+    return {(r["method"], r["eval_name"]) for r in records}
 
 
-def _append_reports(ws, reports, force):
-    records = [{"method": report.method, "eval_name": report.eval_name,
-                "accuracy": report.accuracy, "seed": report.seed} for report in reports]
-    # --force replaces what was already recorded for these evals
-    existing = _existing_reports(ws) if force else []
-    replaced = {(r["method"], r["eval_name"]) for r in records}
-    kept = [r for r in existing if (r["method"], r["eval_name"]) not in replaced]
-    if len(kept) < len(existing):
+def _store(ws, held, records):
+    """Put `records` last in results.jsonl, which holds `held`, dropping the held
+    records of their (method, eval_name): a drop rewrites the file, else they append."""
+    replaced = _evals(records)
+    kept = [r for r in held if (r["method"], r["eval_name"]) not in replaced]
+    if len(kept) < len(held):
         write_jsonl(ws.path("results.jsonl"), kept + records)
     else:
         append_jsonl(ws.path("results.jsonl"), records)
-    return records
+
+
+def _record(method, eval_name, accuracy, seed):
+    return {"method": method, "eval_name": eval_name, "accuracy": accuracy, "seed": seed}
 
 
 def stage_probe(ws: Workspace, mode, force=False):
     cfg = ws.config
     method = _method_tag(mode)
-    held = _recorded(ws)
-    recorded = set() if force else held  # --force redoes every eval it runs
-    to_run = [p for p in TAP_POINTS if (method, p) not in recorded]
+    held = _results(ws)
+    evals = _evals(held)
+    to_run = [p for p in TAP_POINTS if force or (method, p) not in evals]
     # the reference does not depend on the mode: --force redoes it under guided only
     run_supervised = cfg.eval.supervised_reference and (
-        ("supervised-reference", "supervised") not in held or force and mode == "guided")
+        SUPERVISED not in evals or force and mode == "guided")
     if not to_run and not run_supervised:
         log(f"probe[{mode}]: up to date, skipping (use --force to redo)")
-        return []
+        return
     encoder, head, spec = _load_contrastive(ws, mode)
     train_ds, val_ds = ws.eval_split()
-    reports = []
+    records = []
     if to_run:
         # one backbone pass per split feeds every tap point
         extract = tap(encoder, head, to_run)
         features = zip(extract(train_ds.images), extract(val_ds.images))
         for point_name, split_features in zip(to_run, features):
-            reports.append(linear_probe(split_features, train_ds, val_ds,
-                                        epochs=cfg.eval.probe_epochs,
-                                        patience=cfg.eval.patience,
-                                        seed=derive_seed(cfg.seed, "probe", mode, point_name),
-                                        method=method, eval_name=point_name))
-            log(f"probe[{mode}] {point_name}: {reports[-1].accuracy:.2f}%")
+            seed = derive_seed(cfg.seed, "probe", mode, point_name)
+            accuracy = linear_probe(split_features, train_ds, val_ds,
+                                    epochs=cfg.eval.probe_epochs, patience=cfg.eval.patience,
+                                    seed=seed, eval_name=point_name)
+            records.append(_record(method, point_name, accuracy, seed))
+            log(f"probe[{mode}] {point_name}: {accuracy:.2f}%")
     if run_supervised:
         fresh_encoder = build_encoder(spec, derive_seed(cfg.seed, "supervised-encoder"))
-        report = supervised_reference(fresh_encoder, spec.feature_dim, train_ds, val_ds,
-                                      epochs=cfg.eval.probe_epochs, patience=cfg.eval.patience,
-                                      seed=derive_seed(cfg.seed, "supervised"))
-        reports.append(report)
-        log(f"supervised reference: {report.accuracy:.2f}%")
-    return _append_reports(ws, reports, force)
+        seed = derive_seed(cfg.seed, "supervised")
+        accuracy = supervised_reference(fresh_encoder, spec.feature_dim, train_ds, val_ds,
+                                        epochs=cfg.eval.probe_epochs, patience=cfg.eval.patience,
+                                        seed=seed)
+        records.append(_record(*SUPERVISED, accuracy, seed))
+        log(f"supervised reference: {accuracy:.2f}%")
+    _store(ws, held, records)
 
 
 def stage_finetune(ws: Workspace, mode, force=False):
     method = _method_tag(mode)
-    if not force and (method, "finetune") in _recorded(ws):
+    held = _results(ws)
+    if not force and (method, "finetune") in _evals(held):
         log(f"finetune[{mode}]: up to date, skipping (use --force to redo)")
-        return []
+        return
     encoder, _, spec = _load_contrastive(ws, mode)
     train_ds, val_ds = ws.eval_split()
     cfg = ws.config
-    report = fine_tune_10pct(encoder, spec.feature_dim, train_ds, val_ds,
-                             fraction=cfg.eval.finetune_fraction,
-                             epochs=cfg.eval.probe_epochs, patience=cfg.eval.patience,
-                             seed=derive_seed(cfg.seed, "finetune", mode), method=method)
-    log(f"finetune[{mode}]: {report.accuracy:.2f}%")
-    return _append_reports(ws, [report], force)
+    seed = derive_seed(cfg.seed, "finetune", mode)
+    accuracy = fine_tune_10pct(encoder, spec.feature_dim, train_ds, val_ds,
+                               fraction=cfg.eval.finetune_fraction,
+                               epochs=cfg.eval.probe_epochs, patience=cfg.eval.patience,
+                               seed=seed)
+    log(f"finetune[{mode}]: {accuracy:.2f}%")
+    _store(ws, held, [_record(method, "finetune", accuracy, seed)])
 
 
 def stage_pipeline(ws: Workspace, mode, force=False):
@@ -411,7 +417,7 @@ def run_mode_comparison(config: RunConfig, run_root, seeds, force=False):
         ws = Workspace(cfg, os.path.join(run_root, f"seed{seed}"))
         for mode in ("guided", "random"):
             stage_pipeline(ws, mode, force=force)
-        records += _existing_reports(ws)
+        records += _results(ws)
     return accuracy_table(records)
 
 

@@ -18,6 +18,7 @@ from gcontrast import artifacts, cli, contrastive, data, pipeline
 from gcontrast.artifacts import config_fingerprint
 from gcontrast.cli import STAGE_COMMANDS, main
 from gcontrast.config import load_config
+from gcontrast.seeds import derive_seed
 from helpers import MALFORMED_CONFIGS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,6 +120,14 @@ def test_malformed_config_exits_1_before_any_work(tmp_path, capsys, name):
     assert run("pipeline", "--config", str(bad), "--run-dir", str(tmp_path / "r")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config:\n") and str(bad) in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_default_section_exits_1_before_any_work(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[DEFAULT]\nseed = 1\n")
+    assert run("pipeline", "--config", str(bad), "--run-dir", str(tmp_path / "r")) == 1
+    assert capsys.readouterr().err == "error: invalid config:\n  unknown section [DEFAULT]\n"
     assert not (tmp_path / "r").exists()
 
 
@@ -739,6 +748,46 @@ def test_results_records_hold_method_eval_accuracy_and_seed(pipeline_dir):
     assert records
     for r in records:
         assert set(r) == {"method", "eval_name", "accuracy", "seed"}
+
+
+def test_each_record_holds_the_seed_and_accuracy_of_its_eval(tmp_path, monkeypatch):
+    ran = []  # (seed, accuracy) of each eval, in the order the evals run
+    for name in ("linear_probe", "fine_tune_10pct", "supervised_reference"):
+        def spy(*args, _eval=getattr(pipeline, name), **kwargs):
+            ran.append((kwargs["seed"], _eval(*args, **kwargs)))
+            return ran[-1][1]
+        monkeypatch.setattr(pipeline, name, spy)
+    config = _supervised_tiny(tmp_path)
+    for mode in ("guided", "random"):
+        assert run("pipeline", "--config", config, "--run-dir", str(tmp_path / "run"),
+                   "--mode", mode) == 0
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "results.jsonl").read_text().splitlines()]
+    assert [(r["seed"], r["accuracy"]) for r in records] == ran
+    seed = load_config(config).seed
+    expected = {("supervised-reference", "supervised"): derive_seed(seed, "supervised")}
+    for mode, method in (("guided", "guided"), ("random", "random-baseline")):
+        expected[method, "finetune"] = derive_seed(seed, "finetune", mode)
+        for point in ("P1", "P2", "P3"):
+            expected[method, point] = derive_seed(seed, "probe", mode, point)
+    assert {(r["method"], r["eval_name"]): r["seed"] for r in records} == expected
+    assert len(records) == len(expected)
+
+
+def test_probe_reruns_only_the_tap_point_whose_record_is_missing(finished_dir, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_dir, run_dir)
+    path = run_dir / "results.jsonl"
+    lines = path.read_text().splitlines()
+    (p2,) = [line for line in lines if json.loads(line)["method"] == "guided"
+             and json.loads(line)["eval_name"] == "P2"]
+    others = [line for line in lines if line != p2]
+    path.write_text("".join(line + "\n" for line in others))
+    capsys.readouterr()
+    assert run("probe", "--config", TINY, "--run-dir", str(run_dir), "--mode", "guided") == 0
+    logged = [line for line in capsys.readouterr().err.splitlines() if line.startswith("probe")]
+    assert len(logged) == 1 and logged[0].startswith("probe[guided] P2: ")
+    assert path.read_text().splitlines() == others + [p2]
 
 
 def test_two_pipeline_runs_byte_identical(tmp_path):

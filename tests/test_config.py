@@ -90,6 +90,18 @@ def test_unknown_section_reported(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 1\n", "[DEFAULT]\nk = 8\n[cluster]\n"],
+                         ids=["keys-alone", "keys-beside-a-section"])
+def test_default_section_is_an_unknown_section(tmp_path, text):
+    # configparser would drop the keys of a lone [DEFAULT] and copy them
+    # into every other section; here it is refused like any unknown section
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(bad)
+    assert excinfo.value.errors == ["unknown section [DEFAULT]"]
+
+
 def test_unknown_keys_reported(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[run]\nseed = 1\nsede = 2\n[scheduler]\np = 8\nreshuffle_per_epoch = true\n")

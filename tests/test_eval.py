@@ -6,7 +6,6 @@ import pytest
 from gcontrast.contrastive import EncoderSpec, ProjectionHeadSpec, build_encoder, build_head
 from gcontrast.data import ImageDataset, make_synthetic, train_val_split
 from gcontrast.evaluate import (
-    EvalReport,
     fine_tune_10pct,
     fit_softmax_classifier,
     linear_probe,
@@ -83,8 +82,7 @@ def test_linear_probe_separable_features_reach_100():
     train, val = train_val_split(ds, 0.25, seed=0)
     # centered, scaled features: the classes sit at +-margin around zero
     features = [(d.images.reshape(len(d), -1) - 0.5) * 10.0 for d in (train, val)]
-    report = linear_probe(features, train, val, seed=0, method="guided", eval_name="P3")
-    assert report.accuracy == 100.0
+    assert linear_probe(features, train, val, seed=0, eval_name="P3") == 100.0
 
 
 def test_linear_probe_random_labels_near_chance():
@@ -94,9 +92,8 @@ def test_linear_probe_random_labels_near_chance():
     ds = ImageDataset(images=images, labels=labels, source="synthetic", num_classes=10)
     train, val = train_val_split(ds, 0.3, seed=1)
     features = [d.images.reshape(len(d), -1) for d in (train, val)]
-    report = linear_probe(features, train, val, epochs=20, seed=0,
-                          method="random-baseline", eval_name="P3")
-    assert report.accuracy < 30.0  # chance is 10%; generous binomial slack
+    accuracy = linear_probe(features, train, val, epochs=20, seed=0, eval_name="P3")
+    assert accuracy < 30.0  # chance is 10%; generous binomial slack
 
 
 def test_linear_probe_leaves_weights_untouched():
@@ -124,16 +121,15 @@ def test_fine_tune_uses_exact_stratified_subset():
         assert abs(got - 0.10 * total) <= 1
 
 
-def test_fine_tune_returns_report_and_trains_encoder():
+def test_fine_tune_returns_an_accuracy_and_trains_encoder():
     encoder, _ = small_model(seed=6)
     ds = make_synthetic(classes=2, per_class=30, image_size=8, seed=4)
     train, val = train_val_split(ds, 0.2, seed=0)
     before = [p.data.copy() for p in encoder.params()]
-    report = fine_tune_10pct(encoder, ENC_SPEC.feature_dim, train, val,
-                             fraction=0.2, epochs=5, seed=1, method="guided")
+    accuracy = fine_tune_10pct(encoder, ENC_SPEC.feature_dim, train, val,
+                               fraction=0.2, epochs=5, seed=1)
     after = [p.data.copy() for p in encoder.params()]
-    assert isinstance(report, EvalReport)
-    assert report.eval_name == "finetune"
+    assert 0.0 <= accuracy <= 100.0
     assert any(not np.array_equal(a, b) for a, b in zip(before, after))
 
 
@@ -153,9 +149,9 @@ def test_fine_tune_fraction_one_uses_all_training_data():
     from gcontrast.seeds import derive_seed
     chosen = stratified_indices(train.labels, 1.0, derive_seed(0, "finetune-subset"))
     assert len(chosen) == len(train)
-    report = fine_tune_10pct(encoder, ENC_SPEC.feature_dim, train, val,
-                             fraction=1.0, epochs=2, seed=0)
-    assert 0.0 <= report.accuracy <= 100.0
+    accuracy = fine_tune_10pct(encoder, ENC_SPEC.feature_dim, train, val,
+                               fraction=1.0, epochs=2, seed=0)
+    assert 0.0 <= accuracy <= 100.0
 
 
 def test_fine_tune_rejects_fraction_emptying_a_class():
@@ -171,10 +167,9 @@ def test_supervised_reference_beats_chance_on_easy_data():
     encoder, _ = small_model(seed=9)
     ds = make_synthetic(classes=2, per_class=40, image_size=8, seed=6, noise_sigma=0.05)
     train, val = train_val_split(ds, 0.25, seed=0)
-    report = supervised_reference(encoder, ENC_SPEC.feature_dim, train, val,
-                                  epochs=20, seed=0)
-    assert report.method == "supervised-reference"
-    assert report.accuracy > 95.0
+    accuracy = supervised_reference(encoder, ENC_SPEC.feature_dim, train, val,
+                                    epochs=20, seed=0)
+    assert accuracy > 95.0
 
 
 def test_supervised_reference_deterministic():
@@ -184,14 +179,19 @@ def test_supervised_reference_deterministic():
     def run():
         encoder, _ = small_model(seed=10)
         return supervised_reference(encoder, ENC_SPEC.feature_dim, train, val,
-                                    epochs=3, seed=2).accuracy
+                                    epochs=3, seed=2)
 
     assert run() == run()
 
 
-def test_eval_report_accuracy_range_validated():
-    with pytest.raises(ValueError, match="outside"):
-        EvalReport(method="guided", eval_name="P3", accuracy=101.0, seed=0)
+def test_linear_probe_rejects_validation_labels_beyond_the_training_classes():
+    # each split's ImageDataset checks its labels against its own class count
+    images = np.zeros((4, 2, 2, 1), dtype=np.float32)
+    train = ImageDataset(images=images, labels=[0, 1, 0, 1], source="synthetic", num_classes=2)
+    val = ImageDataset(images=images, labels=[0, 1, 2, 0], source="synthetic", num_classes=3)
+    features = [np.zeros((4, 3), dtype=np.float32)] * 2
+    with pytest.raises(ValueError, match=r"labels outside \[0, 2\)"):
+        linear_probe(features, train, val, epochs=1)
 
 
 def test_classifier_divergence_names_epoch_and_batch():
