@@ -12,16 +12,12 @@ import os
 
 import numpy as np
 
-from .data import ImageDataset
-
-
-def sha256_hex(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
+from .data import DataFormatError, ImageDataset
 
 
 def config_fingerprint(config_dict) -> str:
     """Stable hash of a resolved config."""
-    return sha256_hex(json.dumps(config_dict, sort_keys=True).encode())[:16]
+    return hashlib.sha256(json.dumps(config_dict, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def dataset_fingerprint(dataset: ImageDataset) -> str:
@@ -69,8 +65,15 @@ def write_json(path, record):
 
 
 def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, "rb") as fh:
+        return _parse_json(path, fh.read())
+
+
+def _parse_json(path, raw):
+    try:
+        return json.loads(raw)
+    except ValueError as err:  # a JSONDecodeError, or bytes that are not UTF-8
+        raise DataFormatError(f"{path} is not valid JSON: {err}") from None
 
 
 def load_checkpoint(stem):
@@ -78,7 +81,7 @@ def load_checkpoint(stem):
     raw = np.fromfile(stem + ".bin", dtype="<f4")
     ends = np.cumsum([0] + [int(np.prod(shape)) for shape in manifest["param_shapes"]])
     if ends[-1] != raw.size:
-        raise ValueError(f"{stem}.bin holds {raw.size} floats, manifest expects {ends[-1]}")
+        raise DataFormatError(f"{stem}.bin holds {raw.size} floats, manifest expects {ends[-1]}")
     return manifest, [raw[start:end].reshape(shape).copy() for start, end, shape
                       in zip(ends, ends[1:], manifest["param_shapes"])]
 
@@ -136,5 +139,5 @@ def write_jsonl(path, records):
 
 
 def read_jsonl(path):
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    with open(path, "rb") as fh:
+        return [_parse_json(path, line) for line in fh if line.strip()]

@@ -1,17 +1,20 @@
 """Command line entry point: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime
-failure; a flag the command does not take is a usage error, exit 2.
+failure, 3 a bug (any other exception; its traceback is printed); a flag
+the command does not take is a usage error, exit 2.
 """
 
 import argparse
 import sys
+import traceback
 
 from . import pipeline
 from .config import ConfigError, load_config
 from .data import DataFormatError
 from .optim import TrainingDivergedError
 from .pipeline import MissingArtifactError, RunDirectoryError, Workspace
+from .tensor import NonFiniteError
 
 # the flags besides --config and --run-dir, each passed to a stage as the
 # keyword argument of its name
@@ -34,7 +37,7 @@ COMMANDS = {
 STAGE_COMMANDS = tuple(COMMANDS)
 # the failures `exit_status` maps to exit 1 and to exit 2
 REFUSALS = (ConfigError, RunDirectoryError, MissingArtifactError)
-RUNTIME_ERRORS = (TrainingDivergedError, DataFormatError, ValueError, OSError)
+RUNTIME_ERRORS = (TrainingDivergedError, NonFiniteError, DataFormatError, OSError)
 
 
 def parse_args(argv=None):
@@ -57,7 +60,8 @@ def parse_args(argv=None):
 
 def exit_status(action):
     """Run `action()`: 0 when it returns, 1 after printing `error: …` for a
-    refusal, 2 after printing `runtime failure: …` for a runtime error."""
+    refusal, 2 after printing `runtime failure: …` for a runtime error, 3
+    after printing the traceback of any other exception."""
     try:
         action()
     except REFUSALS as err:
@@ -66,6 +70,9 @@ def exit_status(action):
     except RUNTIME_ERRORS as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     return 0
 
 

@@ -44,7 +44,6 @@ class DatasetSection:
     classes: int = 10
     per_class: int = 100
     image_size: int = 32
-    channels: int = 3
     noise_sigma: float = 0.08     # synthetic generator pixel noise
 
 
@@ -177,8 +176,9 @@ def dataset_size_errors(config: RunConfig, class_sizes):
     """Violated keys that must fit a dataset of {label: images} classes.
 
     The `dataset.subset_size` subset takes its `subset_class_sizes` share
-    from each class. The eval split and the fine-tune subset are counted
-    per class the way `stratified_indices` draws them, from those shares.
+    from each class. The DAE's validation split is counted over the images
+    used; the eval split and the fine-tune subset are counted per class
+    the way `stratified_indices` draws them, from those shares.
     """
     errors, subset_size, n = [], config.dataset.subset_size, sum(class_sizes.values())
     if subset_size > n:
@@ -192,6 +192,9 @@ def dataset_size_errors(config: RunConfig, class_sizes):
     used = sum(class_sizes.values())
     if config.cluster.k > used:
         errors.append(f"cluster.k: {config.cluster.k} exceeds the {used} images it clusters")
+    v = config.dae.val_fraction  # train_dae holds out max(1, round(v * n)) of n images
+    if 0 < v < 1 and max(1, int(round(v * used))) >= used:
+        errors.append(f"dae.val_fraction: {v} holds out all {used} images, leaving none to train on")
     e, short = config.eval, {}  # key -> the first class it leaves short
     if 0 < e.val_fraction < 1 and 0 < e.finetune_fraction <= 1:  # else a range error
         for cls, size in class_sizes.items():
@@ -225,13 +228,10 @@ def validate(config: RunConfig):
     check(d.source != "cifar10" or bool(d.path), "dataset.path: required when source is cifar10")
     check(d.source != "cifar10" or d.image_size == 32,
           f"dataset.image_size: must be 32 when source is cifar10, got {d.image_size}")
-    check(d.source != "cifar10" or d.channels == 3,
-          f"dataset.channels: must be 3 when source is cifar10, got {d.channels}")
     check(d.subset_size >= 0, f"dataset.subset_size: must be >= 0, got {d.subset_size}")
     check(d.classes >= 2, f"dataset.classes: must be >= 2, got {d.classes}")
     check(d.per_class >= 1, f"dataset.per_class: must be >= 1, got {d.per_class}")
     check(d.image_size >= 2, f"dataset.image_size: must be >= 2, got {d.image_size}")
-    check(d.channels >= 1, f"dataset.channels: must be >= 1, got {d.channels}")
     check(d.noise_sigma >= 0, f"dataset.noise_sigma: must be >= 0, got {d.noise_sigma}")
     if d.source == "synthetic" and d.per_class >= 1:
         errors.extend(dataset_size_errors(config, dict.fromkeys(range(d.classes), d.per_class)))
@@ -246,7 +246,7 @@ def validate(config: RunConfig):
     errors.extend(block_errors)
     if not block_errors:
         try:
-            AutoencoderSpec(a.encoder_blocks, d.image_size, d.channels).latent_shape()
+            AutoencoderSpec(a.encoder_blocks, d.image_size).latent_shape()
         except ValueError as err:
             errors.append(f"dae.encoder_blocks: {err}")
 

@@ -51,9 +51,6 @@ class Autoencoder:
     def params(self):
         return self.encoder.params() + self.decoder.params()
 
-    def encode(self, x):
-        return self.encoder(x)
-
     def __call__(self, x):
         return self.decoder(self.encoder(x))
 
@@ -119,8 +116,9 @@ def train_dae(model: Autoencoder, dataset: ImageDataset, sigma=0.01, max_epochs=
 def extract_latents(model: Autoencoder, dataset: ImageDataset):
     """Encoder outputs for every clean image, flattened row-major (n, d)."""
     latents = np.empty((len(dataset), model.spec.latent_dim), dtype=np.float32)
-    with no_grad():
+    # no numpy overflow warning: every op screens its output for non-finite values
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(dataset), CHUNK):
             x = dataset.images[start:start + CHUNK]
-            latents[start:start + len(x)] = model.encode(Tensor(x)).data.reshape(len(x), -1)
+            latents[start:start + len(x)] = model.encoder(Tensor(x)).data.reshape(len(x), -1)
     return latents

@@ -25,7 +25,8 @@ CHUNK = 256  # images per no-grad forward pass: DAE validation, latents and tap 
 
 
 class DataFormatError(ValueError):
-    """Binary file does not follow the canonical record layout."""
+    """A file does not hold what its reader expects: a cifar10 batch file off the
+    canonical record layout, or a run-directory artifact unlike what its stage wrote."""
 
 
 @dataclass
@@ -79,6 +80,8 @@ def load_cifar10(directory) -> ImageDataset:
         chunks.append(planes.transpose(0, 2, 3, 1).astype(np.float32) / np.float32(255.0))
     images = np.concatenate(chunks, axis=0)
     labels = np.concatenate(label_chunks, axis=0)
+    if not len(labels):
+        raise DataFormatError(f"no records in the batch files in {directory}")
     return ImageDataset(images=images, labels=labels, source="cifar10", num_classes=10)
 
 

@@ -42,7 +42,8 @@ def tap(encoder, head, points):
 
     def extract(images):
         rows = [[] for _ in depths]
-        with no_grad():
+        # no numpy overflow warning: every op screens its output for non-finite values
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(images), CHUNK):
                 feats = [encoder(Tensor(images[start:start + CHUNK]))]
                 for layer in head_layers:

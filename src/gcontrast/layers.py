@@ -9,6 +9,7 @@ construction is a pure function of (spec, seed). Conv layers pad
 import numpy as np
 
 from . import tensor as T
+from .data import DataFormatError
 from .tensor import Tensor
 
 
@@ -42,8 +43,7 @@ class Conv2D(_Weighted):
         self.stride = stride
 
     def __call__(self, x):
-        return T.conv2d(x, self.w, stride=self.stride, padding="same",
-                        bias=self.b, relu=self.activation == "relu")
+        return T.conv2d(x, self.w, stride=self.stride, bias=self.b, relu=self.activation == "relu")
 
 
 class ConvTranspose2D(_Weighted):
@@ -99,12 +99,12 @@ class Sequential(Layer):
         return x
 
 
-def load_parameters(model, arrays):
+def load_parameters(model, arrays, source):
     params = model.params()
     if len(params) != len(arrays):
-        raise ValueError(f"expected {len(params)} parameter arrays, got {len(arrays)}")
+        raise DataFormatError(f"{source}: {len(arrays)} parameter arrays, expected {len(params)}")
     for p, arr in zip(params, arrays):
         arr = np.asarray(arr, dtype=p.data.dtype)
         if arr.shape != p.data.shape:
-            raise ValueError(f"parameter shape {p.data.shape} != stored shape {arr.shape}")
+            raise DataFormatError(f"{source}: stored shape {arr.shape} != model's {p.data.shape}")
         p.data = arr.copy()

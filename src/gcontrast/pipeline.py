@@ -130,8 +130,7 @@ def resolve_dataset(config: RunConfig):
         if errors:
             raise ConfigError(errors)
     else:
-        dataset = make_synthetic(classes=d.classes, per_class=d.per_class,
-                                 image_size=d.image_size, channels=d.channels,
+        dataset = make_synthetic(classes=d.classes, per_class=d.per_class, image_size=d.image_size,
                                  seed=derive_seed(config.seed, "dataset"),
                                  noise_sigma=d.noise_sigma)
     if d.subset_size and d.subset_size < len(dataset):
@@ -142,13 +141,9 @@ def resolve_dataset(config: RunConfig):
 
 
 def _exact_stratified_subset(labels, size, seed):
-    """Exactly `size` indices, spread as evenly as possible over classes."""
-    classes, sizes = np.unique(labels, return_counts=True)
-    wants = subset_class_sizes(size, len(classes))
-    for cls, have, want in zip(classes, sizes, wants):
-        if want > have:
-            raise ValueError(f"class {cls} has only {have} members, need {want}")
-    return draw_per_class(labels, wants, seed)
+    """Exactly `size` indices, spread as evenly as possible over classes; each
+    class holds its share, which `dataset_size_errors` has checked."""
+    return draw_per_class(labels, subset_class_sizes(size, len(np.unique(labels))), seed)
 
 
 class MissingArtifactError(FileNotFoundError):
@@ -198,8 +193,7 @@ def stage_train_dae(ws: Workspace, force=False):
         return
     checkpoint, _, history_csv, _, latents_bin = _outputs(ws, "train-dae")
     cfg = ws.config
-    spec = AutoencoderSpec(encoder_layers=cfg.dae.encoder_blocks,
-                           image_size=cfg.dataset.image_size, channels=cfg.dataset.channels)
+    spec = AutoencoderSpec(encoder_layers=cfg.dae.encoder_blocks, image_size=cfg.dataset.image_size)
     init_seed = derive_seed(cfg.seed, "dae-init")
     model = build_autoencoder(spec, init_seed)
     model, history = train_dae(model, ws.dataset, sigma=cfg.dae.sigma,
@@ -208,7 +202,7 @@ def stage_train_dae(ws: Workspace, force=False):
                                batch_size=cfg.dae.batch_size,
                                seed=derive_seed(cfg.seed, "dae-train"))
     manifest = {"kind": "autoencoder", "encoder_blocks": [list(b) for b in cfg.dae.encoder_blocks],
-                "image_size": cfg.dataset.image_size, "channels": cfg.dataset.channels,
+                "image_size": spec.image_size, "channels": spec.channels,
                 "latent_shape": list(spec.latent_shape()), "seed": init_seed,
                 "best_epoch": history.best_epoch, "stopped_epoch": history.stopped_epoch}
     save_checkpoint(checkpoint.removesuffix(".json"), manifest, [p.data for p in model.params()])
@@ -250,7 +244,7 @@ def _contrastive(ws):
     cfg = ws.config
     return (ContrastiveConfig(temperature=cfg.contrastive.temperature, batch_size=cfg.scheduler.p,
                               epochs=cfg.contrastive.epochs, seed=derive_seed(cfg.seed, "contrastive")),
-            EncoderSpec(blocks=cfg.contrastive.encoder_blocks, channels=cfg.dataset.channels),
+            EncoderSpec(blocks=cfg.contrastive.encoder_blocks),
             ProjectionHeadSpec(widths=cfg.contrastive.head_widths))
 
 
@@ -306,7 +300,8 @@ def _load_contrastive(ws, mode):
     _, spec, head_spec = _contrastive(ws)
     encoder, head = build_encoder(spec, 0), build_head(head_spec, spec.feature_dim, 0)
     for model, manifest in ((encoder, encoder_json), (head, head_json)):
-        load_parameters(model, load_checkpoint(manifest.removesuffix(".json"))[1])
+        stem = manifest.removesuffix(".json")
+        load_parameters(model, load_checkpoint(stem)[1], f"{stem}.bin")
     return encoder, head, spec
 
 

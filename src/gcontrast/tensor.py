@@ -148,7 +148,8 @@ class Tensor:
         x = self.data
         norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
         if (norm == 0.0).any():
-            raise ShapeError(f"l2_normalize: zero-norm slice along axis {axis} (shape {x.shape})")
+            raise NonFiniteError(f"l2_normalize: a zero-norm slice along axis {axis} would "
+                                 f"divide by zero (shape {x.shape})")
         y = x / norm
 
         def back(g):
@@ -352,17 +353,11 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 
 # ---- convolution ----
 
-def _conv_geometry(size, k, stride, padding, op):
-    """Output size and (before, after) padding, TensorFlow semantics."""
-    if padding == "valid":
-        if size < k:
-            raise ShapeError(f"{op}: spatial size {size} smaller than kernel {k} with valid padding")
-        return (size - k) // stride + 1, 0, 0
-    if padding == "same":
-        out = -(-size // stride)
-        total = max((out - 1) * stride + k - size, 0)
-        return out, total // 2, total - total // 2
-    raise ValueError(f"{op}: padding must be 'same' or 'valid', got {padding!r}")
+def _conv_geometry(size, k, stride):
+    """Output size and (before, after) padding of a 'same' conv, TensorFlow semantics."""
+    out = -(-size // stride)
+    total = max((out - 1) * stride + k - size, 0)
+    return out, total // 2, total - total // 2
 
 
 def _im2col(x, kh, kw, stride, pt, pb, pl, pr):
@@ -374,9 +369,7 @@ def _im2col(x, kh, kw, stride, pt, pb, pl, pr):
         xp[:, pt:pt + h, pl:pl + w] = x
         x = xp
     win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    n, ho, wo = win.shape[:3]
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, kh * kw * x.shape[3])
-    return np.ascontiguousarray(cols), ho, wo
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3]))
 
 
 def _col2im(dcols, n, ho, wo, kh, kw, stride, pt, pl, shape):
@@ -428,32 +421,36 @@ def _bias_relu_back(g, out, bias, relu):
     return g, (() if bias is None else (g.sum(axis=(0, 1, 2)),))
 
 
-def _conv_parents(x, w, bias, op, filters):
+def _conv_parents(op, x, w, bias, transpose=False):
+    """The tape parents of a conv of NHWC `x` by a (kh, kw, in, out) kernel
+    `w`, (kh, kw, out, in) when `transpose`, once the operands conform."""
+    if x.ndim != 4 or w.ndim != 4:
+        raise ShapeError(f"{op}: need 4-D input and kernel, got {x.shape} and {w.shape}")
+    kc, f = w.shape[:1:-1] if transpose else w.shape[2:]
+    if kc != x.shape[3]:
+        raise ShapeError(f"{op}: input channels {x.shape[3]} != kernel channels {kc} "
+                         f"(input {x.shape}, kernel {w.shape})")
     if bias is None:
         return (x, w)
-    if bias.shape != (filters,):
-        raise ShapeError(f"{op}: bias shape {bias.shape} != ({filters},)")
+    if bias.shape != (f,):
+        raise ShapeError(f"{op}: bias shape {bias.shape} != ({f},)")
     return (x, w, bias)
 
 
-def conv2d(x: Tensor, w: Tensor, stride=1, padding="valid", bias=None, relu=False) -> Tensor:
-    """2-D convolution, NHWC input against (kh, kw, C, F) kernel.
+def conv2d(x: Tensor, w: Tensor, stride=1, padding="same", bias=None, relu=False) -> Tensor:
+    """'same'-padded 2-D convolution, NHWC input against (kh, kw, C, F) kernel.
 
     An optional (F,) `bias` is added and `relu` applied in the same tape
     node.
     """
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d: need 4-D input and kernel, got {x.shape} and {w.shape}")
+    parents = _conv_parents("conv2d", x, w, bias)
+    if padding != "same":
+        raise ValueError(f"conv2d: padding must be 'same', got {padding!r}")
     n, h, wd, c = x.shape
-    kh, kw, kc, f = w.shape
-    if kc != c:
-        raise ShapeError(f"conv2d: input channels {c} != kernel channels {kc} "
-                         f"(input {x.shape}, kernel {w.shape})")
-    parents = _conv_parents(x, w, bias, "conv2d", f)
-    ho, pt, pb = _conv_geometry(h, kh, stride, padding, "conv2d")
-    wo, pl, pr = _conv_geometry(wd, kw, stride, padding, "conv2d")
-    cols, ho2, wo2 = _im2col(x.data, kh, kw, stride, pt, pb, pl, pr)
-    assert (ho2, wo2) == (ho, wo)
+    kh, kw, _, f = w.shape
+    ho, pt, pb = _conv_geometry(h, kh, stride)
+    wo, pl, pr = _conv_geometry(wd, kw, stride)
+    cols = _im2col(x.data, kh, kw, stride, pt, pb, pl, pr)
     wf = w.data.reshape(kh * kw * c, f)
     out = _bias_relu((cols @ wf).reshape(n, ho, wo, f), bias, relu, "conv2d")
 
@@ -479,18 +476,13 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride=1, bias=None, relu=False) -> T
     (out_channels,) `bias` is added and `relu` applied in the same tape
     node.
     """
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d_transpose: need 4-D input and kernel, got {x.shape} and {w.shape}")
+    parents = _conv_parents("conv2d_transpose", x, w, bias, transpose=True)
     n, h, wd, c = x.shape
-    kh, kw, f, kc = w.shape
-    if kc != c:
-        raise ShapeError(f"conv2d_transpose: input channels {c} != kernel channels {kc} "
-                         f"(input {x.shape}, kernel {w.shape})")
-    parents = _conv_parents(x, w, bias, "conv2d_transpose", f)
+    kh, kw, f, _ = w.shape
     oh, ow = h * stride, wd * stride
     # padding of the conv that maps the output back to the input
-    _, pt, pb = _conv_geometry(oh, kh, stride, "same", "conv2d_transpose")
-    _, pl, pr = _conv_geometry(ow, kw, stride, "same", "conv2d_transpose")
+    _, pt, pb = _conv_geometry(oh, kh, stride)
+    _, pl, pr = _conv_geometry(ow, kw, stride)
     wf = w.data.reshape(kh * kw * f, c)
     xf = x.data.reshape(n * h * wd, c)
     out = _bias_relu(_col2im(xf @ wf.T, n, h, wd, kh, kw, stride, pt, pl, (n, oh, ow, f)),
@@ -498,7 +490,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride=1, bias=None, relu=False) -> T
 
     def back(g):
         g, dbias = _bias_relu_back(g, out, bias, relu)
-        gcols, _, _ = _im2col(g, kh, kw, stride, pt, pb, pl, pr)
+        gcols = _im2col(g, kh, kw, stride, pt, pb, pl, pr)
         dx = (gcols @ wf).reshape(n, h, wd, c) if x.requires_grad else None
         dw = (gcols.T @ xf).reshape(kh, kw, f, c)
         return (dx, dw) + dbias

@@ -57,14 +57,12 @@ def gradcheck(build_loss, arrays, step, rtol):
     return worst
 
 
-def conv2d_reference(x, w, stride=1, padding="valid"):
-    """Nested-loop 2-D convolution, NHWC input, (kh,kw,C,F) kernel."""
+def conv2d_reference(x, w, stride=1):
+    """Nested-loop 'same'-padded 2-D convolution, NHWC input, (kh,kw,C,F) kernel."""
     n, h, wd, c = x.shape
     kh, kw, _, f = w.shape
 
     def geometry(size, k):
-        if padding == "valid":
-            return (size - k) // stride + 1, 0
         out = -(-size // stride)
         total = max((out - 1) * stride + k - size, 0)
         return out, total // 2

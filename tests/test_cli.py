@@ -19,6 +19,7 @@ from gcontrast.artifacts import config_fingerprint
 from gcontrast.cli import STAGE_COMMANDS, main
 from gcontrast.config import load_config
 from gcontrast.seeds import derive_seed
+from gcontrast.tensor import ShapeError
 from helpers import MALFORMED_CONFIGS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,12 +148,15 @@ def test_cifar10_source_with_wrong_image_shape_exits_1_before_any_work(tmp_path,
     ("epochs = 2\nencoder_blocks = 8:3:2", "epochs = 2\nencoder_blocks = 8:0:2",
      "contrastive.encoder_blocks: filters, kernel and stride must be >= 1, got 8:0:2"),
     ("k = 8", "k = 5000", "cluster.k: 5000 exceeds the 128 images it clusters"),
-    ("channels = 3\n", "channels = 3\nsubset_size = 99999\n",
+    ("per_class = 32\n", "per_class = 32\nsubset_size = 99999\n",
      "dataset.subset_size: 99999 exceeds the dataset's 128 images"),
     ("finetune_fraction = 0.10", "finetune_fraction = 0.01",
      "eval.finetune_fraction: 0.01 picks no fine-tune image from class 0's 24 training images"),
+    ("image_size = 8\n", "image_size = 8\nchannels = 3\n", "dataset.channels: unknown key"),
+    ("val_fraction = 0.2\n", "val_fraction = 0.999\n",
+     "dae.val_fraction: 0.999 holds out all 128 images, leaving none to train on"),
 ], ids=["dae-zero-stride", "dae-stride-3", "contrastive-zero-kernel", "k", "subset_size",
-        "finetune_fraction"])
+        "finetune_fraction", "channels", "dae-val_fraction"])
 def test_config_that_cannot_run_exits_1_before_any_work(tmp_path, capsys, old, new, key):
     config = _tiny_with(tmp_path, old, new)
     assert run("pipeline", "--config", config, "--run-dir", str(tmp_path / "r")) == 1
@@ -164,7 +168,7 @@ def test_subset_that_empties_an_eval_class_exits_1_before_any_work(tmp_path, cap
     # 6 images over 4 classes leave classes of 2, 2, 1 and 1 images, and a
     # quarter of 2 rounds to no validation image
     text = Path(TINY).read_text()
-    for old, new in (("channels = 3\n", "channels = 3\nsubset_size = 6\n"),
+    for old, new in (("per_class = 32\n", "per_class = 32\nsubset_size = 6\n"),
                      ("k = 8", "k = 2"), ("p = 8", "p = 2")):
         assert text.count(old) == 1
         text = text.replace(old, new)
@@ -259,7 +263,7 @@ def test_opening_a_run_directory_removes_tmp_leftovers(finished_dir, tmp_path):
 
 @pytest.mark.parametrize("change, key", [
     (("k = 8", "k = 33"), "cluster.k: 33 exceeds the 32 images it clusters"),
-    (("channels = 3\n", "channels = 3\nsubset_size = 33\n"),
+    (("per_class = 32\n", "per_class = 32\nsubset_size = 33\n"),
      "dataset.subset_size: 33 exceeds the dataset's 32 images"),
     (("val_fraction = 0.25", "val_fraction = 0.05"),
      "eval.val_fraction: 0.05 splits class 0's 8 images into 0 validation and 8 training "
@@ -284,7 +288,7 @@ def test_a_class_short_of_its_subset_share_exits_1_and_leaves_the_directory_usab
     full = data.make_synthetic(4, 8, 32, seed=0)
     kept = np.flatnonzero((full.labels != 3) | (np.cumsum(full.labels == 3) <= 2))
     data.save_cifar10_binary(data.subset(full, kept), tmp_path / "uneven")
-    changes = (("channels = 3\n", "channels = 3\nsubset_size = 24\n"), ("k = 8", "k = 4"),
+    changes = (("per_class = 32\n", "per_class = 32\nsubset_size = 24\n"), ("k = 8", "k = 4"),
                ("p = 8", "p = 4"), ("finetune_fraction = 0.10", "finetune_fraction = 0.5"))
     run_dir = tmp_path / "r"
     uneven = _cifar_tiny(tmp_path, "uneven.ini", tmp_path / "uneven", *changes)
@@ -475,6 +479,114 @@ def test_a_truncated_checkpoint_is_a_runtime_failure_naming_the_file(finished_di
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"runtime failure: {latents} holds ")
     assert contents(run_dir) == before
+
+
+def test_a_non_finite_tap_pass_is_a_runtime_failure(finished_dir, tmp_path, capsys):
+    # weights of 3e30 overflow float32 in the first conv of the probe's tap pass
+    run_dir = tmp_path / "huge"
+    shutil.copytree(finished_dir, run_dir)
+    encoder = run_dir / "contrastive_guided_encoder.bin"
+    encoder.write_bytes(np.full(encoder.stat().st_size // 4, 3e30, dtype="<f4").tobytes())
+    before = contents(run_dir)
+    capsys.readouterr()
+    assert run("probe", "--config", TINY, "--run-dir", str(run_dir), "--mode", "guided",
+               "--force") == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("runtime failure: conv2d: produced non-finite values")
+    assert contents(run_dir) == before
+
+
+def test_a_zero_norm_embedding_in_training_is_a_divergence(finished_dir, tmp_path, capsys,
+                                                           monkeypatch):
+    # a head that maps everything to 0 leaves nothing for NT-Xent to normalize
+    build_head = contrastive.build_head
+
+    def zero_head(*args):
+        head = build_head(*args)
+        for p in head.params():
+            p.data = np.zeros_like(p.data)
+        return head
+
+    monkeypatch.setattr(contrastive, "build_head", zero_head)
+    run_dir = tmp_path / "zero"
+    shutil.copytree(finished_dir, run_dir)
+    before = contents(run_dir)
+    capsys.readouterr()
+    assert run("train-contrastive", "--config", TINY, "--run-dir", str(run_dir),
+               "--mode", "random", "--force") == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("runtime failure: training diverged at epoch 1, batch 0: "
+                           "l2_normalize: a zero-norm slice")
+    assert contents(run_dir) == before
+
+
+def _flatten_first_shape(manifest):
+    manifest["param_shapes"][0] = [int(np.prod(manifest["param_shapes"][0]))]
+
+
+def _merge_last_shapes(manifest):
+    *kept, a, b = manifest["param_shapes"]
+    manifest["param_shapes"] = kept + [[int(np.prod(a)) + int(np.prod(b))]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_flatten_first_shape, "stored shape (216,) != model's (3, 3, 3, 8)"),
+    (_merge_last_shapes, "3 parameter arrays, expected 4"),
+], ids=["shape", "count"])
+def test_a_checkpoint_that_does_not_fit_its_model_is_a_runtime_failure(
+        finished_dir, tmp_path, capsys, edit, message):
+    run_dir = tmp_path / "unfit"
+    shutil.copytree(finished_dir, run_dir)
+    manifest = run_dir / "contrastive_guided_encoder.json"
+    record = json.loads(manifest.read_text())
+    edit(record)
+    artifacts.write_json(str(manifest), record)
+    before = contents(run_dir)
+    capsys.readouterr()
+    assert run("probe", "--config", TINY, "--run-dir", str(run_dir), "--mode", "guided",
+               "--force") == 2
+    assert capsys.readouterr().err == (
+        f"runtime failure: {run_dir / 'contrastive_guided_encoder.bin'}: {message}\n")
+    assert contents(run_dir) == before
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("run.json", ("report",)),
+    ("results.jsonl", ("report",)),
+    ("contrastive_guided_encoder.json", ("probe", "--mode", "guided", "--force")),
+], ids=["run-json", "results-jsonl", "checkpoint-manifest"])
+def test_a_malformed_json_artifact_is_a_runtime_failure_naming_the_file(
+        finished_dir, tmp_path, capsys, name, argv):
+    run_dir = tmp_path / "torn"
+    shutil.copytree(finished_dir, run_dir)
+    path = run_dir / name
+    path.write_bytes(path.read_bytes()[:-10])
+    before = contents(run_dir)
+    capsys.readouterr()
+    assert run(*argv, "--config", TINY, "--run-dir", str(run_dir)) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"runtime failure: {path} is not valid JSON: ")
+    assert contents(run_dir) == before
+
+
+@pytest.mark.parametrize("error", [ShapeError("injected"),
+                                   ValueError("operands could not be broadcast together")],
+                         ids=["ShapeError", "ValueError"])
+def test_an_internal_error_prints_its_traceback_and_exits_3(finished_dir, tmp_path, capsys,
+                                                            monkeypatch, error):
+    # a bug is not bad input: its traceback is kept and the exit code is neither 1 nor 2
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(pipeline, "kmeans_fit", broken)
+    run_dir = tmp_path / "bug"
+    shutil.copytree(finished_dir, run_dir)
+    capsys.readouterr()
+    assert run("cluster", "--config", TINY, "--run-dir", str(run_dir), "--force") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith(f"{type(error).__name__}: {error}\n")
+    assert "runtime failure" not in err
 
 
 def test_rerun_is_noop_without_force(pipeline_dir, capsys):

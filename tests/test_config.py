@@ -141,15 +141,12 @@ def test_cifar_source_requires_path(tmp_path):
         load_config(bad)
 
 
-@pytest.mark.parametrize("size, channels, wrong", [(8, 3, "dataset.image_size"),
-                                                   (32, 1, "dataset.channels")])
-def test_cifar_source_requires_cifar_image_shape(tmp_path, size, channels, wrong):
+def test_cifar_source_requires_cifar_image_shape(tmp_path):
     bad = tmp_path / "bad.ini"
-    bad.write_text(f"[dataset]\nsource = cifar10\npath = batches\n"
-                   f"image_size = {size}\nchannels = {channels}\n")
+    bad.write_text("[dataset]\nsource = cifar10\npath = batches\nimage_size = 8\n")
     with pytest.raises(ConfigError) as excinfo:
         load_config(bad)
-    assert [e.split(":")[0] for e in excinfo.value.errors] == [wrong]
+    assert excinfo.value.errors == ["dataset.image_size: must be 32 when source is cifar10, got 8"]
 
 
 @pytest.mark.parametrize("text, error", [
@@ -197,9 +194,11 @@ def test_removed_mode_key_is_unknown(tmp_path):
 
 
 # the constants these keys held: Adam's stock rate, k-means convergence, the
-# contrastive base rate, and the tap points the protocol always probes
+# contrastive base rate, the tap points the protocol always probes, and the
+# channels of every image a run reads
 REMOVED_KEYS = {"dae.adam_lr": "1e-3", "cluster.tol": "1e-4", "cluster.max_iter": "300",
-                "contrastive.base_lr": "0.05", "eval.tap_points": "P1, P2, P3"}
+                "contrastive.base_lr": "0.05", "eval.tap_points": "P1, P2, P3",
+                "dataset.channels": "3"}
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)

@@ -42,7 +42,7 @@ def test_build_reconstruction_shape_matches_input():
     x = Tensor(np.zeros((2, 8, 8, 3), dtype=np.float32))
     with no_grad():
         out = model(x)
-        z = model.encode(x)
+        z = model.encoder(x)
     assert out.shape == (2, 8, 8, 3)
     assert z.shape == (2, 2, 2, 8)
 
@@ -146,7 +146,7 @@ def test_latent_matrix_shape_and_row_oracle():
     assert latents.shape == (10, 32)
     # row i equals the flattened single-image encoder forward
     with no_grad():
-        single = model.encode(Tensor(ds.images[3:4])).data.reshape(-1)
+        single = model.encoder(Tensor(ds.images[3:4])).data.reshape(-1)
     np.testing.assert_array_equal(latents[3], single)
 
 
@@ -156,7 +156,7 @@ def test_latents_match_concatenated_batches(monkeypatch):
     ds = make_synthetic(classes=2, per_class=5, image_size=8, seed=4)
     model = build_autoencoder(SMALL_SPEC, seed=2)
     with no_grad():
-        rows = [model.encode(Tensor(ds.images[s:s + 4])).data.reshape(-1, 32)
+        rows = [model.encoder(Tensor(ds.images[s:s + 4])).data.reshape(-1, 32)
                 for s in range(0, len(ds), 4)]
     want = np.concatenate(rows, axis=0).astype(np.float32)
     monkeypatch.setattr(dae, "CHUNK", 4)
@@ -180,7 +180,7 @@ def test_latents_ignore_training_sigma():
                          val_fraction=0.25, batch_size=4, seed=1)
     latents = extract_latents(model, ds)
     with no_grad():
-        clean = model.encode(Tensor(ds.images)).data.reshape(len(ds), -1)
+        clean = model.encoder(Tensor(ds.images)).data.reshape(len(ds), -1)
     np.testing.assert_array_equal(latents, clean)
 
 

@@ -52,6 +52,12 @@ def test_load_rejects_label_out_of_range(tmp_path):
         load_cifar10(tmp_path)
 
 
+def test_load_rejects_batch_files_without_a_record(tmp_path):
+    _write_batch_dir(tmp_path, [b""] * 6)
+    with pytest.raises(DataFormatError, match="no records in the batch files in "):
+        load_cifar10(tmp_path)
+
+
 def test_load_rejects_missing_file(tmp_path):
     with pytest.raises(DataFormatError, match="missing batch file"):
         load_cifar10(tmp_path)

@@ -72,8 +72,8 @@ def test_global_avg_pool_gradient_keeps_float32():
 
 def _config_specs(name):
     cfg = load_config(str(CONFIGS / name))
-    return (AutoencoderSpec(cfg.dae.encoder_blocks, cfg.dataset.image_size, cfg.dataset.channels),
-            EncoderSpec(cfg.contrastive.encoder_blocks, cfg.dataset.channels))
+    return (AutoencoderSpec(cfg.dae.encoder_blocks, cfg.dataset.image_size),
+            EncoderSpec(cfg.contrastive.encoder_blocks))
 
 
 CONFIG_SPECS = {name: _config_specs(f"{name}.ini") for name in ("desk", "tiny")}

@@ -9,6 +9,8 @@ calls it through that binding would silently zero its metric.
 
 import dataclasses
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 from gcontrast import dae, pipeline
@@ -18,11 +20,15 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _load("perfbench_tracing", TRACING)
 
 
 def test_every_trace_target_resolves():
@@ -53,3 +59,19 @@ def test_mode_comparison_calls_every_probe_and_pipeline_target(tmp_path):
                                      str(tmp_path), [0])
     called = tracer.totals()
     assert sorted(name for name in unique if name not in called) == []
+
+
+def test_check_traced_counts_names_each_count_missing_or_zero(capsys):
+    # the traced CI job pipes a run's output through this check
+    check = _load("check_traced_counts", ROOT / "scripts" / "check_traced_counts.py")
+    metrics = {"a.calls": 3, "b.calls": 0, "stage_s.x": 1.5, "stage_s.y": 0.0}
+    result = {"metrics": {name: {"value": value, "unit": "count"}
+                          for name, value in metrics.items()}}
+    output = '{"env": {}}\n{"detail": {}}\n' + json.dumps(result) + "\n"
+    assert check.main(["a.calls", "stage_s.x"], io.StringIO(output)) == 0
+    assert capsys.readouterr().err == ""
+    assert check.main(["a.calls", "b.calls", "c.calls", "stage_s.*"], io.StringIO(output)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "check_traced_counts: b.calls: 0",
+        "check_traced_counts: c.calls: not in the run's metrics",
+        "check_traced_counts: stage_s.y: 0"]
