@@ -78,12 +78,16 @@ def _parse_json(path, raw):
 
 def load_checkpoint(stem):
     manifest = read_json(stem + ".json")
+    shapes = manifest.get("param_shapes") if isinstance(manifest, dict) else None
+    if not (isinstance(shapes, list) and all(isinstance(shape, list) and all(
+            type(d) is int and d >= 0 for d in shape) for shape in shapes)):
+        raise DataFormatError(f"{stem}.json: param_shapes is not a list of shapes")
     raw = np.fromfile(stem + ".bin", dtype="<f4")
-    ends = np.cumsum([0] + [int(np.prod(shape)) for shape in manifest["param_shapes"]])
+    ends = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
     if ends[-1] != raw.size:
         raise DataFormatError(f"{stem}.bin holds {raw.size} floats, manifest expects {ends[-1]}")
     return manifest, [raw[start:end].reshape(shape).copy() for start, end, shape
-                      in zip(ends, ends[1:], manifest["param_shapes"])]
+                      in zip(ends, ends[1:], shapes)]
 
 
 # ---- CSV ----

@@ -80,7 +80,6 @@ class EvalSection:
     finetune_fraction: float = 0.10
     val_fraction: float = 0.2
     probe_epochs: int = 50
-    patience: int = 5
     supervised_reference: bool = False
 
 
@@ -268,5 +267,4 @@ def validate(config: RunConfig):
     check(0 < e.finetune_fraction <= 1, f"eval.finetune_fraction: must be in (0,1], got {e.finetune_fraction}")
     check(0 < e.val_fraction < 1, f"eval.val_fraction: must be in (0,1), got {e.val_fraction}")
     check(e.probe_epochs >= 1, f"eval.probe_epochs: must be >= 1, got {e.probe_epochs}")
-    check(e.patience >= 1, f"eval.patience: must be >= 1, got {e.patience}")
     return errors

@@ -157,8 +157,6 @@ def add_gaussian_noise(batch, sigma, seed):
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     batch = np.asarray(batch, dtype=np.float32)
-    if sigma == 0:
-        return batch.copy()
     rng = np.random.default_rng(seed)
     return batch + rng.normal(0.0, sigma, size=batch.shape).astype(np.float32)
 

@@ -29,6 +29,7 @@ FULL_SCALE_REFERENCE = {
 # head layers each tap point keeps
 _HEAD_DEPTH = {"P1": 2, "P2": 1, "P3": 0}
 TAP_POINTS = tuple(_HEAD_DEPTH)  # the protocol probes every tap point, in this order
+PATIENCE = 5  # epochs without a better validation loss before a classifier stops
 
 
 def tap(encoder, head, points):
@@ -60,7 +61,7 @@ def _accuracy_percent(logits, labels):
 
 
 def fit_softmax_classifier(forward, params, train_inputs, train_labels,
-                           val_inputs, val_labels, epochs=50, patience=5,
+                           val_inputs, val_labels, epochs=50, patience=PATIENCE,
                            batch_size=128, seed=0):
     """Adam + cross-entropy with early stopping on validation loss.
 
@@ -98,7 +99,7 @@ def fit_softmax_classifier(forward, params, train_inputs, train_labels,
 
 
 def linear_probe(features, train_ds: ImageDataset, val_ds: ImageDataset,
-                 epochs=50, patience=5, seed=0, eval_name="P3") -> float:
+                 epochs=50, seed=0, eval_name="P3") -> float:
     """Validation accuracy, in percent, of a single dense layer on frozen
     features: `features` is the (train, val) pair of feature matrices,
     extracted beforehand, so the encoder never trains. `eval_name` tags
@@ -113,11 +114,10 @@ def linear_probe(features, train_ds: ImageDataset, val_ds: ImageDataset,
     return fit_softmax_classifier(
         lambda xb: clf(Tensor(xb)), clf.params(),
         train_x, train_ds.labels, val_x, val_ds.labels,
-        epochs=epochs, patience=patience, seed=seed)
+        epochs=epochs, seed=seed)
 
 
-def _train_end_to_end(encoder, feature_dim, train_ds, rows, val_ds, init_tag,
-                      epochs, patience, seed):
+def _train_end_to_end(encoder, feature_dim, train_ds, rows, val_ds, init_tag, epochs, seed):
     """Validation accuracy of the encoder plus a fresh linear classifier,
     trained end to end on `rows` of train_ds at batch size 64."""
     rng = np.random.default_rng(derive_seed(seed, init_tag))
@@ -125,11 +125,11 @@ def _train_end_to_end(encoder, feature_dim, train_ds, rows, val_ds, init_tag,
     return fit_softmax_classifier(
         lambda xb: clf(encoder(Tensor(xb))), encoder.params() + clf.params(),
         train_ds.images[rows], train_ds.labels[rows], val_ds.images, val_ds.labels,
-        epochs=epochs, patience=patience, batch_size=64, seed=seed)
+        epochs=epochs, batch_size=64, seed=seed)
 
 
 def fine_tune_10pct(encoder, feature_dim, train_ds: ImageDataset, val_ds: ImageDataset,
-                    fraction=0.10, epochs=50, patience=5, seed=0) -> float:
+                    fraction=0.10, epochs=50, seed=0) -> float:
     """Validation accuracy of the encoder plus a fresh linear classifier
     trained end to end on a small stratified labeled subset; no projection
     head layers are used.
@@ -138,13 +138,12 @@ def fine_tune_10pct(encoder, feature_dim, train_ds: ImageDataset, val_ds: ImageD
     """
     chosen = stratified_indices(train_ds.labels, fraction, derive_seed(seed, "finetune-subset"))
     return _train_end_to_end(encoder, feature_dim, train_ds, chosen, val_ds,
-                             "finetune-init", epochs, patience, seed)
+                             "finetune-init", epochs, seed)
 
 
 def supervised_reference(encoder, feature_dim, train_ds: ImageDataset,
-                         val_ds: ImageDataset, epochs=50, patience=5,
-                         seed=0) -> float:
+                         val_ds: ImageDataset, epochs=50, seed=0) -> float:
     """Ceiling reference: validation accuracy of the same encoder trained
     fully supervised."""
     return _train_end_to_end(encoder, feature_dim, train_ds, slice(None), val_ds,
-                             "supervised-init", epochs, patience, seed)
+                             "supervised-init", epochs, seed)

@@ -17,9 +17,6 @@ class Layer:
     def params(self):
         return []
 
-    def __call__(self, x):
-        raise NotImplementedError
-
 
 class _Weighted(Layer):
     """A kernel of `shape` mapping `window` positions of `inputs` channels

@@ -11,6 +11,7 @@ timestamps, so identical configurations yield byte-identical runs.
 import copy
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -40,8 +41,8 @@ from .contrastive import (
     train_contrastive,
 )
 from .dae import AutoencoderSpec, build_autoencoder, extract_latents, train_dae
-from .data import (draw_per_class, load_cifar10, make_synthetic, subset, subset_class_sizes,
-                   train_val_split)
+from .data import (DataFormatError, draw_per_class, load_cifar10, make_synthetic, subset,
+                   subset_class_sizes, train_val_split)
 from .evaluate import (
     FULL_SCALE_REFERENCE,
     TAP_POINTS,
@@ -160,6 +161,7 @@ OUTPUTS = {
                           "contrastive_{mode}_head.json", "contrastive_{mode}_head.bin",
                           "contrastive_{mode}_loss.csv"),
 }
+LABELS_HEADER = ("image_index", "cluster_label")  # of pseudo_labels.csv
 
 
 def _outputs(ws, stage, mode=None):
@@ -219,23 +221,35 @@ def stage_cluster(ws: Workspace, force=False):
         return
     latents = read_latents_csv(_upstream(ws, "train-dae")[-1])
     labels_csv, checkpoint, _ = _outputs(ws, "cluster")
-    cfg = ws.config
-    model = kmeans_fit(latents, k=cfg.cluster.k, seed=derive_seed(cfg.seed, "cluster"))
+    seed = derive_seed(ws.config.seed, "cluster")
+    model = kmeans_fit(latents, k=ws.config.cluster.k, seed=seed)
     assignment = assign(model, latents)
-    write_csv(labels_csv, ["image_index", "cluster_label"], pseudo_label_table(assignment))
+    write_csv(labels_csv, LABELS_HEADER, pseudo_label_table(assignment))
     save_checkpoint(checkpoint.removesuffix(".json"),
                     {"kind": "kmeans", "k": model.k, "inertia": model.inertia,
-                     "iterations_run": model.iterations_run,
-                     "seed": derive_seed(cfg.seed, "cluster")},
+                     "iterations_run": model.iterations_run, "seed": seed},
                     [model.centroids])
     occupied = int((assignment.counts > 0).sum())
     log(f"cluster: k={model.k}, {occupied} nonempty clusters, inertia {model.inertia:.3f}")
 
 
 def _load_assignment(ws) -> PseudoLabelAssignment:
-    _, _, rows = read_csv(_upstream(ws, "cluster")[0])
-    labels = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    k = ws.config.cluster.k  # the k the labels came from: the run directory has one config
+    """The pseudo labels `stage_cluster` wrote: after the header, row i reads
+    `i,label` with 0 <= label < cluster.k, for each image i of the dataset."""
+    path = _upstream(ws, "cluster")[0]
+    with open(path) as fh:
+        header, *rows = fh.read().splitlines() or [""]
+    if header != ",".join(LABELS_HEADER):
+        raise DataFormatError(f"{path}, line 1: not the header {','.join(LABELS_HEADER)}")
+    n, k = len(ws.dataset), ws.config.cluster.k  # the run directory has one config
+    if len(rows) != n:
+        raise DataFormatError(f"{path} holds {len(rows)} rows, not one per image ({n})")
+    for i, row in enumerate(rows):
+        label = row.partition(",")[2]
+        if not (label.isdecimal() and row == f"{i},{int(label)}" and int(label) < k):
+            raise DataFormatError(f"{path}, line {i + 2}: {row!r} is not "
+                                  f"`{i},label` with 0 <= label < {k}")
+    labels = np.array([int(row.partition(",")[2]) for row in rows], dtype=np.int64)
     return PseudoLabelAssignment(labels=labels, counts=np.bincount(labels, minlength=k))
 
 
@@ -251,23 +265,23 @@ def _contrastive(ws):
 def stage_plan(ws: Workspace, mode, force=False):
     if _done(ws, "plan", force, mode):
         return
-    assignment = _load_assignment(ws) if mode == "guided" else None
-    (config, _, _), n = _contrastive(ws), len(ws.dataset)
+    config = _contrastive(ws)[0]
     if mode == "guided":
+        assignment = _load_assignment(ws)
         nonempty = int((assignment.counts > 0).sum())
         if nonempty < config.batch_size:
             log(f"plan[{mode}]: warning: only {nonempty} nonempty clusters for batch "
                 f"size {config.batch_size}; guided batching degenerates toward random")
+        build = partial(build_guided_plan, assignment, config.batch_size)
+    else:
+        n = len(ws.dataset)
+        # one label for every image: a random plan is checked as a partition only
+        assignment = PseudoLabelAssignment(np.zeros(n, dtype=np.int64), np.array([n]))
+        build = partial(build_random_plan, n, config.batch_size)
     records = []
-    check_against = assignment if assignment is not None else PseudoLabelAssignment(
-        labels=np.zeros(n, dtype=np.int64), counts=np.array([n]))
     for epoch in range(1, config.epochs + 1):
-        seed = config.plan_seed(epoch)
-        if assignment is not None:
-            plan = build_guided_plan(assignment, p=config.batch_size, epoch_seed=seed)
-        else:
-            plan = build_random_plan(n, config.batch_size, epoch_seed=seed)
-        validate_plan(plan, check_against)
+        plan = build(epoch_seed=config.plan_seed(epoch))
+        validate_plan(plan, assignment)
         for bi, batch in enumerate(plan.batches):
             records.append({"epoch": epoch, "batch_index": bi,
                             "indices": [int(i) for i in batch]})
@@ -356,16 +370,14 @@ def stage_probe(ws: Workspace, mode, force=False):
         for point_name, split_features in zip(to_run, features):
             seed = derive_seed(cfg.seed, "probe", mode, point_name)
             accuracy = linear_probe(split_features, train_ds, val_ds,
-                                    epochs=cfg.eval.probe_epochs, patience=cfg.eval.patience,
-                                    seed=seed, eval_name=point_name)
+                                    epochs=cfg.eval.probe_epochs, seed=seed, eval_name=point_name)
             records.append(_record(method, point_name, accuracy, seed))
             log(f"probe[{mode}] {point_name}: {accuracy:.2f}%")
     if run_supervised:
         fresh_encoder = build_encoder(spec, derive_seed(cfg.seed, "supervised-encoder"))
         seed = derive_seed(cfg.seed, "supervised")
         accuracy = supervised_reference(fresh_encoder, spec.feature_dim, train_ds, val_ds,
-                                        epochs=cfg.eval.probe_epochs, patience=cfg.eval.patience,
-                                        seed=seed)
+                                        epochs=cfg.eval.probe_epochs, seed=seed)
         records.append(_record(*SUPERVISED, accuracy, seed))
         log(f"supervised reference: {accuracy:.2f}%")
     _store(ws, held, records)
@@ -383,8 +395,7 @@ def stage_finetune(ws: Workspace, mode, force=False):
     seed = derive_seed(cfg.seed, "finetune", mode)
     accuracy = fine_tune_10pct(encoder, spec.feature_dim, train_ds, val_ds,
                                fraction=cfg.eval.finetune_fraction,
-                               epochs=cfg.eval.probe_epochs, patience=cfg.eval.patience,
-                               seed=seed)
+                               epochs=cfg.eval.probe_epochs, seed=seed)
     log(f"finetune[{mode}]: {accuracy:.2f}%")
     _store(ws, held, [_record(method, "finetune", accuracy, seed)])
 

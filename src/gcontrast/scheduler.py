@@ -89,15 +89,12 @@ def build_random_plan(n, p, epoch_seed=0) -> BatchPlan:
 def validate_plan(plan: BatchPlan, assignment: PseudoLabelAssignment) -> PlanDiagnostics:
     """Check the exact-partition property and count same-label collisions."""
     n = assignment.n
-    if plan.batches:
-        flat = np.concatenate(plan.batches)
-    else:
-        flat = np.array([], dtype=np.int64)
-    if len(flat) != n or not np.array_equal(np.sort(flat), np.arange(n)):
-        seen = np.bincount(flat, minlength=n) if len(flat) and flat.max() < n else None
-        if seen is None:
-            offenders = sorted(set(int(i) for i in flat if i >= n))
-            raise PlanValidationError(f"plan contains out-of-range indices {offenders[:10]}")
+    flat = np.concatenate(plan.batches) if plan.batches else np.array([], dtype=np.int64)
+    offenders = np.unique(flat[(flat < 0) | (flat >= n)])
+    if len(offenders):
+        raise PlanValidationError(f"plan contains out-of-range indices {offenders[:10].tolist()}")
+    seen = np.bincount(flat, minlength=n)  # a partition holds each index once
+    if (seen != 1).any():
         repeated = np.flatnonzero(seen > 1).tolist()
         missing = np.flatnonzero(seen == 0).tolist()
         raise PlanValidationError(

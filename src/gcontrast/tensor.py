@@ -84,10 +84,9 @@ class Tensor:
         return self.data.ndim
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ShapeError(f"item: tensor has shape {self.shape}, expected a scalar")
+        if self.data.size != 1:
+            raise ShapeError(f"item: tensor has shape {self.shape}, expected a scalar")
+        return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -277,8 +276,6 @@ def _unbroadcast(grad, shape):
 
 
 def _norm_axes(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
     if isinstance(axis, int):
         axis = (axis,)
     return tuple(a % ndim for a in axis)
@@ -363,13 +360,11 @@ def _conv_geometry(size, k, stride):
 def _im2col(x, kh, kw, stride, pt, pb, pl, pr):
     # x (N,H,W,C) zero-padded by (pt, pb, pl, pr) -> (N, Ho, Wo, kh, kw, C)
     # view, then flattened copy
-    if pt | pb | pl | pr:
-        n, h, w, c = x.shape
-        xp = np.zeros((n, pt + h + pb, pl + w + pr, c), dtype=x.dtype)
-        xp[:, pt:pt + h, pl:pl + w] = x
-        x = xp
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3]))
+    n, h, w, c = x.shape
+    xp = np.zeros((n, pt + h + pb, pl + w + pr, c), dtype=x.dtype)
+    xp[:, pt:pt + h, pl:pl + w] = x
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * c))
 
 
 def _col2im(dcols, n, ho, wo, kh, kw, stride, pt, pl, shape):

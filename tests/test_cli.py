@@ -529,12 +529,18 @@ def _merge_last_shapes(manifest):
     manifest["param_shapes"] = kept + [[int(np.prod(a)) + int(np.prod(b))]]
 
 
-@pytest.mark.parametrize("edit, message", [
-    (_flatten_first_shape, "stored shape (216,) != model's (3, 3, 3, 8)"),
-    (_merge_last_shapes, "3 parameter arrays, expected 4"),
-], ids=["shape", "count"])
+def _drop_shapes(manifest):
+    del manifest["param_shapes"]
+
+
+@pytest.mark.parametrize("edit, name, message", [
+    (_flatten_first_shape, "contrastive_guided_encoder.bin",
+     "stored shape (216,) != model's (3, 3, 3, 8)"),
+    (_merge_last_shapes, "contrastive_guided_encoder.bin", "3 parameter arrays, expected 4"),
+    (_drop_shapes, "contrastive_guided_encoder.json", "param_shapes is not a list of shapes"),
+], ids=["shape", "count", "no-shapes"])
 def test_a_checkpoint_that_does_not_fit_its_model_is_a_runtime_failure(
-        finished_dir, tmp_path, capsys, edit, message):
+        finished_dir, tmp_path, capsys, edit, name, message):
     run_dir = tmp_path / "unfit"
     shutil.copytree(finished_dir, run_dir)
     manifest = run_dir / "contrastive_guided_encoder.json"
@@ -545,8 +551,7 @@ def test_a_checkpoint_that_does_not_fit_its_model_is_a_runtime_failure(
     capsys.readouterr()
     assert run("probe", "--config", TINY, "--run-dir", str(run_dir), "--mode", "guided",
                "--force") == 2
-    assert capsys.readouterr().err == (
-        f"runtime failure: {run_dir / 'contrastive_guided_encoder.bin'}: {message}\n")
+    assert capsys.readouterr().err == f"runtime failure: {run_dir / name}: {message}\n"
     assert contents(run_dir) == before
 
 
@@ -566,6 +571,53 @@ def test_a_malformed_json_artifact_is_a_runtime_failure_naming_the_file(
     assert run(*argv, "--config", TINY, "--run-dir", str(run_dir)) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"runtime failure: {path} is not valid JSON: ")
+    assert contents(run_dir) == before
+
+
+def _drop_header(rows):
+    del rows[0]
+
+
+def _drop_last_label(rows):
+    rows[-1] = rows[-1].partition(",")[0] + ","
+
+
+def _drop_last_ten_rows(rows):
+    del rows[-10:]
+
+
+def _add_a_row(rows):
+    rows.append(f"{len(rows) - 1},0")
+
+
+def _first_label(label):
+    def edit(rows):
+        rows[1] = f"0,{label}"
+    return edit
+
+
+# tiny.ini clusters its 128 images into k = 8 pseudo labels
+@pytest.mark.parametrize("edit, message", [
+    (_drop_header, ", line 1: not the header image_index,cluster_label"),
+    (_drop_last_label, ", line 129: '127,' is not `127,label` with 0 <= label < 8"),
+    (_drop_last_ten_rows, " holds 118 rows, not one per image (128)"),
+    (_add_a_row, " holds 129 rows, not one per image (128)"),
+    (_first_label(8), ", line 2: '0,8' is not `0,label` with 0 <= label < 8"),
+    (_first_label(-1), ", line 2: '0,-1' is not `0,label` with 0 <= label < 8"),
+], ids=["no-header", "empty-label", "missing-rows", "extra-row", "label-k", "negative-label"])
+def test_pseudo_labels_unlike_what_cluster_wrote_are_a_runtime_failure(
+        finished_dir, tmp_path, capsys, edit, message):
+    run_dir = tmp_path / "labels"
+    shutil.copytree(finished_dir, run_dir)
+    labels = run_dir / "pseudo_labels.csv"
+    rows = labels.read_text().splitlines()
+    edit(rows)
+    labels.write_text("".join(row + "\n" for row in rows))
+    before = contents(run_dir)
+    capsys.readouterr()
+    assert run("plan", "--config", TINY, "--run-dir", str(run_dir), "--mode", "guided",
+               "--force") == 2
+    assert capsys.readouterr().err == f"runtime failure: {labels}{message}\n"
     assert contents(run_dir) == before
 
 

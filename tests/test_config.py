@@ -10,6 +10,7 @@ import pytest
 from gcontrast.artifacts import config_fingerprint
 from gcontrast.config import ConfigError, RunConfig, dataset_size_errors, load_config, validate
 from gcontrast.data import stratified_indices, train_val_split
+from gcontrast.evaluate import PATIENCE
 from gcontrast.pipeline import resolve_dataset
 from helpers import MALFORMED_CONFIGS
 
@@ -25,6 +26,7 @@ def test_defaults_match_reference_hyperparameters():
     assert config.contrastive.temperature == 0.1
     assert config.contrastive.epochs == 15
     assert config.dae.epochs == 100
+    assert PATIENCE == 5  # the probes' and fine-tuning's, a constant
 
 
 def test_load_tiny_config():
@@ -194,11 +196,11 @@ def test_removed_mode_key_is_unknown(tmp_path):
 
 
 # the constants these keys held: Adam's stock rate, k-means convergence, the
-# contrastive base rate, the tap points the protocol always probes, and the
-# channels of every image a run reads
+# contrastive base rate, the tap points the protocol always probes, the
+# channels of every image a run reads, and the probes' early-stopping patience
 REMOVED_KEYS = {"dae.adam_lr": "1e-3", "cluster.tol": "1e-4", "cluster.max_iter": "300",
                 "contrastive.base_lr": "0.05", "eval.tap_points": "P1, P2, P3",
-                "dataset.channels": "3"}
+                "dataset.channels": "3", "eval.patience": "5"}
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)

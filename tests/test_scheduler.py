@@ -126,6 +126,13 @@ def test_validate_plan_rejects_out_of_range():
         validate_plan(plan, assignment)
 
 
+def test_validate_plan_rejects_a_negative_index_as_out_of_range():
+    assignment = assignment_from_labels([0, 1])
+    plan = BatchPlan(batches=[np.array([1, -1])], epoch_seed=0)
+    with pytest.raises(PlanValidationError, match=r"out-of-range indices \[-1\]"):
+        validate_plan(plan, assignment)
+
+
 def test_guided_beats_random_on_clustered_labels():
     # with 12 balanced clusters, guided batching eliminates collisions that
     # random batching incurs constantly

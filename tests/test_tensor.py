@@ -82,12 +82,15 @@ def test_conv2d_refuses_padding_other_than_same():
         conv2d(x, w, padding="valid")
 
 
-@pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same")])
-def test_conv2d_matches_nested_loop_reference(stride, padding):
+# the last two geometries pad by zero on every side
+@pytest.mark.parametrize("stride,kernel,size", [(1, 3, (5, 6)), (2, 3, (5, 6)), (1, 1, (5, 6)),
+                                                (2, 2, (6, 4))],
+                         ids=["1-same", "2-same", "1x1-stride-1", "2x2-stride-2-even"])
+def test_conv2d_matches_nested_loop_reference(stride, kernel, size):
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(2, 5, 6, 3)).astype(np.float64)
-    w = rng.normal(size=(3, 3, 3, 4)).astype(np.float64)
-    out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+    x = rng.normal(size=(2, *size, 3)).astype(np.float64)
+    w = rng.normal(size=(kernel, kernel, 3, 4)).astype(np.float64)
+    out = conv2d(Tensor(x), Tensor(w), stride=stride, padding="same").data
     ref = conv2d_reference(x, w, stride=stride)
     np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
